@@ -1,9 +1,10 @@
 """Command-line surface: searches, range scans, reproduction reports, tools.
 
 Range scans fan out over processes (--jobs, or the PACK_JOBS environment
-variable); parallel and serial runs write byte-identical files.  Compactor
-commands require an explicit seed.  Exit status is nonzero whenever a
-reproduction report falls short.
+variable, default the core count; at most one process per core and per n);
+parallel and serial runs write byte-identical files.  A bad job count is a
+one-line error with exit status 2.  Compactor commands require an explicit
+seed.  Exit status is nonzero whenever a reproduction report falls short.
 """
 from __future__ import annotations
 
@@ -15,11 +16,23 @@ import sys
 from . import compactor, render, search, tables, theory
 
 
-def _default_jobs() -> int:
+def _positive_jobs(value: str | int, source: str) -> int:
+    """value as a job count; a ValueError naming source unless an integer >= 1."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return jobs
+
+
+def _resolve_jobs(args: argparse.Namespace) -> None:
+    """Check PACK_JOBS, and fill in or check --jobs for the commands that take it."""
     env = os.environ.get("PACK_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    default = _positive_jobs(env, "PACK_JOBS") if env else os.cpu_count() or 1
+    if hasattr(args, "jobs"):
+        args.jobs = default if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -142,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("range", cmd_range, "scan [from, to]: JSONL results plus summary")
     p.add_argument("--from", dest="n_lo", type=int, required=True)
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
 
     p = add("table", cmd_table, "reproduction report against a published table")
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
@@ -150,15 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("irregular", cmd_irregular, "n values whose optimum may/must have holes")
     p.add_argument("--from", dest="n_lo", type=int, default=1)
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
 
     p = add("milestones", cmd_milestones, "smallest n per monovacancy landmark")
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
 
     p = add("aspect", cmd_aspect, "aspect-ratio scatter CSV for hex optima")
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=None)
 
     p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)")
     p.add_argument("--kmax", type=int, default=3)
@@ -180,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve_jobs(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

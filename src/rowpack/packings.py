@@ -50,6 +50,15 @@ class RowPattern(Enum):
             return h // 2
         return h // 2 + 1
 
+    def full_interior_rows(self, h: int, s: int) -> int:
+        """How many interior hex rows (1..h-2) hold w circles, for h >= 2."""
+        if self is RowPattern.FULL:
+            return h - 2
+        # SHORT_OFFSET is mirrored (odd rows full) under square rows on even h.
+        if self is RowPattern.SHORT_OUTER or (s > 0 and h % 2 == 0):
+            return (h - 1) // 2
+        return (h - 2) // 2
+
 
 _PATTERN_ORDER = {RowPattern.FULL: 0, RowPattern.SHORT_OFFSET: 1, RowPattern.SHORT_OUTER: 2}
 
@@ -167,14 +176,14 @@ class ClassConfig:
         return k % 2 == full_parity
 
     def hole_capacity(self) -> int:
-        """Interior lattice sites: hex rows 1..h-2, row ends excluded."""
-        if self.h < 3:
+        """Interior lattice sites: hex rows 1..h-2, row ends excluded.
+
+        A full interior row offers w - 2 sites and a short one w - 3, so the
+        count is (h-2)*(w-3) plus the number of full interior rows.
+        """
+        if self.h < 3 or self.w < 3:
             return 0
-        total = 0
-        for k in range(1, self.h - 1):
-            row_len = self.w if self._row_is_full(k) else self.w - 1
-            total += max(0, row_len - 2)
-        return total
+        return (self.h - 2) * (self.w - 3) + self.pattern.full_interior_rows(self.h, self.s)
 
     # exact dimensions -------------------------------------------------------
 

@@ -48,23 +48,8 @@ class QuadInt:
     # ordering -------------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of the real value p + q*sqrt(3), computed exactly.
-
-        For mixed component signs, p + q*sqrt(3) and p^2 - 3q^2 have the
-        same sign when p > 0, opposite when p < 0; p^2 = 3q^2 is impossible
-        for nonzero integers.
-        """
-        p, q = self.p, self.q
-        if p == 0 and q == 0:
-            return 0
-        if p >= 0 and q >= 0:
-            return 1
-        if p <= 0 and q <= 0:
-            return -1
-        if p > 0:  # q < 0
-            return 1 if p * p > 3 * q * q else -1
-        # p < 0, q > 0
-        return 1 if 3 * q * q > p * p else -1
+        """Sign of the real value p + q*sqrt(3), computed exactly."""
+        return sign(self.p, self.q)
 
     def __lt__(self, other: "QuadInt") -> bool:
         return (self - other).sign() < 0
@@ -101,6 +86,24 @@ class QuadInt:
     @classmethod
     def from_json(cls, obj: dict) -> "QuadInt":
         return cls(int(obj["p"]), int(obj["q"]))
+
+
+def sign(p: int, q: int) -> int:
+    """-1, 0 or +1: the exact sign of p + q*sqrt(3) for integers p, q.
+
+    For mixed component signs, p + q*sqrt(3) and p^2 - 3q^2 have the
+    same sign when p > 0, opposite when p < 0; p^2 = 3q^2 is impossible
+    for nonzero integers.  The search compares areas held as plain
+    integer pairs through this function, without building QuadInts.
+    """
+    if p >= 0 and q >= 0:
+        return 1 if p or q else 0
+    if p <= 0 and q <= 0:
+        return -1
+    if p > 0:  # q < 0
+        return 1 if p * p > 3 * q * q else -1
+    # p < 0, q > 0
+    return 1 if 3 * q * q > p * p else -1
 
 
 def compare(a: QuadInt, b: QuadInt) -> int:

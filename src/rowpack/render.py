@@ -21,7 +21,7 @@ class RenderOptions:
     scale: float = 20.0        # pixels per circle radius
     stroke_width: float = 1.0
     show_holes: bool = True
-    show_labels: bool = False  # coordinates always print with 6 decimals
+    show_labels: bool = False  # caption "<n> circles in <width> x <height>" at top left
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

@@ -4,15 +4,23 @@ For each n the search finds the exact minimum rectangle area over every
 class member with that circle count, keeps the complete tie set (argmin),
 and classifies n by whether the optimum may or must contain monovacancies.
 
-The enumeration is exact but pruned: candidates are generated cell by cell
-(hex rows h, square rows s, pattern), and a cell is skipped only when an
-exact QuadInt lower bound on its area already exceeds the incumbent, so no
-tie of the final minimum can ever be lost.  Loop cut-offs rely on two
+One enumeration kernel, `_members`, walks the class: the square grids, then
+cell by cell (h hex rows, s square rows), each row pattern and width w, and
+each split of the surplus w*(h+s) - h_minus - n into short square rows and
+holes.  It works on plain integers: a member is the tuple of its
+ClassConfig fields, and an area p + q*sqrt(3) is the pair (p, q), compared
+exactly by `quadint.sign`.  Without a cap the kernel yields the whole class
+(`enumerate_candidates`).  With a cap (the incumbent minimum, which `best`
+lowers as members arrive) it yields only members no larger than the cap,
+and skips a cell only when an exact lower bound on the cell's area exceeds
+the cap, so no tie of the final minimum can be lost.  `best` builds
+ClassConfig objects for the final argmin only.  The cut-offs rely on two
 provable monotonicity facts:
 
 * for fixed h, the envelope (2n + h - 1) * H(h, s) - (h + s) * A is linear
-  in s with positive slope once A <= 4n (guaranteed by the square-grid seed
-  (n, 0, FULL, 1)), so the s loop stops at its first dead cell;
+  in s with positive slope once A <= 4n (guaranteed by the one-row strip
+  (n, 0, FULL, 1), whose area 4n is the first cap), so the s loop stops at
+  its first dead cell;
 * for s = 0 the same envelope is convex in h, so the h loop stops once the
   bound is both positive and increasing.
 
@@ -23,12 +31,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .packings import ClassConfig, RowPattern
-from .quadint import QuadInt
+from .quadint import QuadInt, sign as _sign
 
 
 class Classification(Enum):
@@ -64,46 +73,96 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _square_grid_candidates(n: int) -> Iterator[ClassConfig]:
-    """All canonical (w >= s) square grids with n circles, short rows allowed."""
-    s = 1
-    while s * s <= n + s - 1:
-        w = _ceil_div(n, s)
-        s_minus = w * s - n
-        if s_minus <= s - 1 and w >= s and (s_minus == 0 or w >= 2):
-            yield ClassConfig(w=w, h=0, s=s, s_minus=s_minus)
-        s += 1
-
-
 def _patterns_for(h: int, s: int) -> tuple[RowPattern, ...]:
     if h % 2 == 1 and h >= 3 and s == 0:
         return (RowPattern.FULL, RowPattern.SHORT_OFFSET, RowPattern.SHORT_OUTER)
     return (RowPattern.FULL, RowPattern.SHORT_OFFSET)
 
 
-def _cell_configs(n: int, h: int, s: int, d_max: int) -> Iterator[ClassConfig]:
-    """Every valid config with n circles, exactly h hex and s square rows."""
+def _members(n: int, d_max: int, cap: list[int] | None = None) -> Iterator[tuple]:
+    """Every class member with n circles and at most d_max holes, as (p, q, fields).
+
+    p + q*sqrt(3) is the member's exact area and fields are the ClassConfig
+    arguments (w, h, pattern, s, s_minus, d); all of them are valid.  Order:
+    square grids by s, then cells by h, s, pattern, w, d.  Bounds: w <= n,
+    h + s <= n.  With `cap`, a [p, q] list holding at most 4n that the caller
+    may lower between yields, only members whose area is at most the cap are
+    yielded.
+    """
+    # square grids, canonical (w >= s), short rows allowed.  A grid's area
+    # is 4*(n + s_minus) >= 4n >= cap, so it is within the cap only if equal.
+    s = 1
+    while s * s <= n + s - 1:
+        w = _ceil_div(n, s)
+        s_minus = w * s - n
+        if s_minus <= s - 1 and w >= s and (s_minus == 0 or w >= 2):
+            if cap is None or cap == [4 * w * s, 0]:
+                yield 4 * w * s, 0, (w, 0, RowPattern.FULL, s, s_minus, 0)
+        s += 1
+
+    # hex and hybrid cells; under a cap, the s loop stops at its first dead cell
+    for h in range(2, n + 1):
+        s = 0
+        while s <= n - h:
+            if cap is not None and _sign(*_envelope_gap(n, h, s, cap)) > 0:
+                break
+            yield from _cell(n, h, s, d_max, cap)
+            s += 1
+        if s == 0 and cap is not None:
+            # Cell (h, 0) is dead.  The gap is convex in h (quadratic,
+            # positive sqrt(3)*h^2 term), so once it is also non-decreasing
+            # it stays positive.  Its step from h-1 to h, at the same cap, is
+            # (2 - cap_p) + (2n + 2h - 3 - cap_q)*sqrt(3).  The final minimum
+            # is <= cap, which only enlarges the gap, so no tie can hide
+            # beyond the break.
+            if _sign(2 - cap[0], 2 * n + 2 * h - 3 - cap[1]) >= 0:
+                return
+
+
+def _envelope_gap(n: int, h: int, s: int, cap: list[int]) -> tuple[int, int]:
+    """(2n + h - 1) * H(h, s) - (h + s) * cap, as an integer pair.
+
+    Positive means every config in cell (h, s) — any pattern, any w, s_minus,
+    d — has area strictly above cap: short patterns have width
+    2w >= (2n + h - 1)/(h+s) and FULL widths (2w + 1) are wider still, while
+    H(h, s) = (2 + 2s) + (h-1)*sqrt(3) is the exact cell height.
+    """
+    k = 2 * n + h - 1
+    return k * (2 + 2 * s) - (h + s) * cap[0], k * (h - 1) - (h + s) * cap[1]
+
+
+def _cell(n: int, h: int, s: int, d_max: int, cap: list[int] | None) -> Iterator[tuple]:
+    """The members of cell (h, s); under a cap, each w loop stops once the area exceeds it."""
     r = h + s
+    hp, hq = 2 + 2 * s, h - 1  # cell height
     for pattern in _patterns_for(h, s):
-        hm = pattern.h_minus(h)
-        base = n + hm
-        w = max(_ceil_div(base, r), 1 if pattern is RowPattern.FULL else 2)
+        full = pattern is RowPattern.FULL
+        base = n + pattern.h_minus(h)
+        full_rows = pattern.full_interior_rows(h, s)
+        w = max(_ceil_div(base, r), 1 if full else 2)
         while True:
-            rem = w * r - base  # s_minus + d
+            # rem = s_minus + d >= 0.  w = 1 only when r = n, where rem = 0,
+            # so a short square row never meets w = 1.
+            rem = w * r - base
             if rem > s + d_max:
                 break
-            if rem >= 0:
-                for d in range(max(0, rem - s), min(d_max, rem) + 1):
-                    s_minus = rem - d
-                    if d > 0 and (h < 3 or w < 3):
-                        continue
-                    if s_minus > 0 and w < 2:
-                        continue
-                    try:
-                        yield ClassConfig(w=w, h=h, pattern=pattern, s=s, s_minus=s_minus, d=d)
-                    except ValueError:
-                        continue  # hole capacity and friends
+            width = 2 * w + 1 if full else 2 * w
+            p, q = width * hp, width * hq
+            if cap is not None and _sign(p - cap[0], q - cap[1]) > 0:
+                break  # area grows with w
+            # holes need h >= 3, w >= 3 and a free interior site (the
+            # closed form of ClassConfig.hole_capacity, inlined)
+            holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
+            for d in range(max(0, rem - s), min(d_max, rem, holes) + 1):
+                yield p, q, (w, h, pattern, s, rem - d, d)
             w += 1
+
+
+def _check_args(n: int, d_max: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
 
 
 def enumerate_candidates(n: int, d_max: int = 5) -> Iterator[ClassConfig]:
@@ -112,70 +171,23 @@ def enumerate_candidates(n: int, d_max: int = 5) -> Iterator[ClassConfig]:
     Complete (no area pruning): square grids, pure hex blocks, hybrids, holed
     variants.  Bounds: w <= n, h + s <= n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    yield from _square_grid_candidates(n)
-    for h in range(2, n + 1):
-        for s in range(0, n - h + 1):
-            yield from _cell_configs(n, h, s, d_max)
-
-
-class _ArgminTracker:
-    """Running exact minimum area plus the complete set of configs attaining it."""
-
-    __slots__ = ("area", "configs")
-
-    def __init__(self) -> None:
-        self.area: QuadInt | None = None
-        self.configs: list[ClassConfig] = []
-
-    def consider(self, cfg: ClassConfig) -> None:
-        area = cfg.area()
-        if self.area is None:
-            self.area = area
-            self.configs = [cfg]
-            return
-        sgn = (area - self.area).sign()
-        if sgn < 0:
-            self.area = area
-            self.configs = [cfg]
-        elif sgn == 0:
-            self.configs.append(cfg)
+    _check_args(n, d_max)
+    for _, _, fields in _members(n, d_max):
+        yield ClassConfig(*fields)
 
 
 def best(n: int, d_max: int = 5) -> SearchResult:
     """Exact minimum area and the full argmin set for n circles."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    tracker = _ArgminTracker()
-    for cfg in _square_grid_candidates(n):
-        tracker.consider(cfg)
-    assert tracker.area is not None  # (n, 0, FULL, 1) always exists
+    _check_args(n, d_max)
+    cap = [4 * n, 0]  # the one-row strip (n, 0, FULL, s=1) is always a member
+    ties: list[tuple] = []
+    for p, q, fields in _members(n, d_max, cap):
+        if p != cap[0] or q != cap[1]:  # strictly below the cap: new minimum
+            cap[0], cap[1] = p, q
+            ties = []
+        ties.append(fields)
 
-    # hex and hybrid cells with exact lower-bound pruning
-    h = 2
-    while True:
-        cap = tracker.area
-        g = _short_envelope_gap(n, h, 0, cap)
-        if g.sign() > 0:
-            # The gap is convex in h (quadratic, positive sqrt(3)*h^2 term),
-            # so once positive and non-decreasing it stays positive forever.
-            # Both points use the same cap; the final minimum is <= cap, which
-            # only enlarges the gap, so no tie can hide beyond the break.
-            if (g - _short_envelope_gap(n, h - 1, 0, cap)).sign() >= 0:
-                break
-        else:
-            s = 0
-            while _short_envelope_gap(n, h, s, tracker.area).sign() <= 0:
-                _scan_cell(n, h, s, d_max, tracker)
-                s += 1
-        h += 1
-
-    ordered = tuple(sorted(tracker.configs, key=ClassConfig.sort_key))
+    ordered = tuple(sorted((ClassConfig(*f) for f in ties), key=ClassConfig.sort_key))
     ds = [c.d for c in ordered]
     if all(d == 0 for d in ds):
         cls = Classification.REGULAR
@@ -186,52 +198,12 @@ def best(n: int, d_max: int = 5) -> SearchResult:
     shapes = {(c.width_units, c.height()) for c in ordered}
     return SearchResult(
         n=n,
-        min_area=tracker.area,
+        min_area=QuadInt(cap[0], cap[1]),
         argmin=ordered,
         classification=cls,
         min_d=min(ds),
         shape_count=len(shapes),
     )
-
-
-def _short_envelope_gap(n: int, h: int, s: int, area_cap: QuadInt) -> QuadInt:
-    """(2n + h - 1) * H(h, s) - (h + s) * area_cap.
-
-    Positive means every config in cell (h, s) — any pattern, any w, s_minus,
-    d — has area strictly above area_cap: short patterns have width
-    2w >= (2n + h - 1)/(h+s) and FULL widths (2w + 1) are wider still, while
-    H(h, s) is the exact cell height.
-    """
-    height = QuadInt(2 + 2 * s, h - 1)
-    return height * (2 * n + h - 1) - area_cap * (h + s)
-
-
-def _scan_cell(n: int, h: int, s: int, d_max: int, tracker: _ArgminTracker) -> None:
-    """Enumerate cell (h, s), skipping w values whose exact area exceeds best."""
-    r = h + s
-    height = QuadInt(2 + 2 * s, h - 1)
-    for pattern in _patterns_for(h, s):
-        hm = pattern.h_minus(h)
-        base = n + hm
-        w = max(_ceil_div(base, r), 1 if pattern is RowPattern.FULL else 2)
-        while True:
-            rem = w * r - base
-            if rem > s + d_max:
-                break
-            width = 2 * w + 1 if pattern is RowPattern.FULL else 2 * w
-            if (height * width - tracker.area).sign() > 0:
-                break  # area grows with w
-            if rem >= 0:
-                for d in range(max(0, rem - s), min(d_max, rem) + 1):
-                    s_minus = rem - d
-                    if d > 0 and (h < 3 or w < 3):
-                        continue
-                    try:
-                        cfg = ClassConfig(w=w, h=h, pattern=pattern, s=s, s_minus=s_minus, d=d)
-                    except ValueError:
-                        continue
-                    tracker.consider(cfg)
-            w += 1
 
 
 def classify(n: int, d_max: int = 5) -> Classification:
@@ -261,6 +233,7 @@ def scan_range(
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
     ns = range(n_lo, n_hi + 1)
+    jobs = min(jobs, os.cpu_count() or 1, len(ns))
     if jobs <= 1:
         return [best(n, d_max) for n in ns]
     with multiprocessing.Pool(jobs) as pool:

@@ -139,3 +139,54 @@ def test_compact_json_packing(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out_path.read_text())
     assert len(blob["centers"]) == 3
+
+
+def test_bad_pack_jobs_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("PACK_JOBS", "abc")
+    code, out, err = run_cli(capsys, "search", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: PACK_JOBS") and err.count("\n") == 1
+
+
+def test_jobs_below_one_rejected(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "range", "--from", "1", "--to", "3", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --jobs must be") and err.count("\n") == 1
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for, starts nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        RecordingPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
+    from rowpack import search
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", "2", "--jobs", "3")
+    assert code == 0
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
+    assert RecordingPool.sizes == [2]  # span of 2
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", "2", "--jobs", "3")
+    assert code == 0
+    assert RecordingPool.sizes == [2]  # one core: serial, no pool

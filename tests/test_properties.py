@@ -1,0 +1,68 @@
+"""Property tests guarding the exact enumeration kernel in rowpack.search."""
+from hypothesis import given, settings, strategies as st
+
+from rowpack.packings import ClassConfig, RowPattern
+from rowpack.search import best, enumerate_candidates
+
+FULL = RowPattern.FULL
+SOFF = RowPattern.SHORT_OFFSET
+SOUT = RowPattern.SHORT_OUTER
+
+
+def rowwise_capacity(w: int, h: int, s: int, pattern: RowPattern) -> int:
+    """Interior sites counted row by row: hex rows 1..h-2, row ends excluded."""
+    total = 0
+    for k in range(1, h - 1):
+        if pattern is FULL:
+            full = True
+        elif pattern is SOUT:
+            full = k % 2 == 1
+        else:
+            # even rows are full, odd rows instead when square rows sit on an
+            # even-h block (mirrored so the top outer row is full)
+            full = k % 2 == (1 if s > 0 and h % 2 == 0 else 0)
+        total += (w if full else w - 1) - 2
+    return total
+
+
+def test_hole_capacity_closed_form_matches_row_count():
+    # s enters the capacity only through s > 0, so s = 0..3 covers every case
+    checked = 0
+    for w in range(3, 41):
+        for h in range(3, 41):
+            for s in range(4):
+                for pattern in RowPattern:
+                    if pattern is SOUT and (h % 2 == 0 or s > 0):
+                        continue
+                    cfg = ClassConfig(w, h, pattern, s=s)
+                    assert cfg.hole_capacity() == rowwise_capacity(w, h, s, pattern), cfg
+                    checked += 1
+    assert checked == 38 * 38 * 4 * 2 + 38 * 19
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300))
+def test_best_equals_unpruned_enumeration(n):
+    configs = list(enumerate_candidates(n))
+    areas = [c.area() for c in configs]
+    low = min(areas)
+    r = best(n)
+    assert r.min_area == low
+    assert sorted(r.argmin, key=ClassConfig.sort_key) == list(r.argmin)
+    assert set(r.argmin) == {c for c, a in zip(configs, areas) if a == low}
+    assert len(set(r.argmin)) == len(r.argmin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20000))
+def test_argmin_configs_hold_n_circles_in_the_min_area(n):
+    r = best(n)
+    for cfg in r.argmin:
+        assert cfg.n == n
+        assert cfg.area() == r.min_area
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 6))
+def test_more_holes_never_raise_the_min_area(n, k):
+    assert best(n, d_max=k + 1).min_area <= best(n, d_max=k).min_area

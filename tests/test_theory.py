@@ -82,6 +82,11 @@ def test_verify_convergent_regularity_k2():
     assert check.ok and check.n == 208
 
 
+def test_verify_convergent_regularity_k4_beyond_5000():
+    check = verify_convergent_regularity(4)
+    assert check.ok and check.n == 40544
+
+
 def test_verify_convergent_regularity_k1_excluded():
     with pytest.raises(ValueError):
         verify_convergent_regularity(1)
