@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import search
-from .packings import PackingRealization
+from .packings import PackingRealization, max_violation
 
 _TOL = 1e-9
 
@@ -124,9 +124,9 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
 
     Clamps into the wall-offset box, then separates overlapping pairs
     symmetrically along their center line, in fixed index order, repeating
-    until the worst violation is below 1e-9 or the budget is spent.
-    Small instances run a plain-Python loop (array overhead dominates there);
-    the result is identical.
+    until the worst violation is below 1e-9 or the budget is spent.  The
+    separation is one plain-Python loop over all pairs; packings.max_violation
+    confirms success.
     """
     if width < 2.0 - _TOL or height < 2.0 - _TOL:
         return False
@@ -174,7 +174,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
             pts[:, 1] = ys
             np.clip(pts[:, 0], xlo, xhi, out=pts[:, 0])
             np.clip(pts[:, 1], ylo, yhi, out=pts[:, 1])
-            if _max_violation(pts, width, height) <= _TOL:
+            if max_violation(pts, width, height) <= _TOL:
                 return True
             xs = pts[:, 0].tolist()
             ys = pts[:, 1].tolist()
@@ -188,23 +188,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
                 break
     pts[:, 0] = xs
     pts[:, 1] = ys
-    return _max_violation(pts, width, height) <= _TOL
-
-
-def _max_violation(pts: np.ndarray, width: float, height: float) -> float:
-    worst = max(
-        0.0,
-        float(1.0 - pts[:, 0].min()),
-        float(1.0 - pts[:, 1].min()),
-        float(pts[:, 0].max() - (width - 1.0)),
-        float(pts[:, 1].max() - (height - 1.0)),
-    )
-    if len(pts) > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        worst = max(worst, 2.0 - math.sqrt(float(d2.min())))
-    return worst
+    return max_violation(pts, width, height) <= _TOL
 
 
 def relax(realization: PackingRealization, iters: int = 2000) -> tuple[bool, PackingRealization]:
@@ -215,7 +199,6 @@ def relax(realization: PackingRealization, iters: int = 2000) -> tuple[bool, Pac
         centers=tuple(map(tuple, pts.tolist())),
         width=realization.width,
         height=realization.height,
-        radius=realization.radius,
     )
 
 
@@ -249,7 +232,7 @@ def compact(params: CompactorParams) -> CompactorRun:
             width, height = new_w, new_h
             accepted += 1
             trace.append((move, width, height, density()))
-            if _max_violation(pts, width, height) > _TOL:
+            if max_violation(pts, width, height) > _TOL:
                 raise AssertionError("accepted move left an invalid state")
         else:
             step[side] *= 0.5

@@ -28,8 +28,10 @@ Geometry conventions (canonical representatives, one per congruence class):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .quadint import QuadInt
 
@@ -63,30 +65,43 @@ class RowPattern(Enum):
 _PATTERN_ORDER = {RowPattern.FULL: 0, RowPattern.SHORT_OFFSET: 1, RowPattern.SHORT_OUTER: 2}
 
 
+def max_violation(pts: np.ndarray, width: float, height: float) -> float:
+    """Worst wall overshoot or pair overlap depth of unit circles at centers pts.
+
+    pts is an (n, 2) array.  Sorted by x, two circles can overlap only if
+    fewer than `span` places apart, where span is the most centers in any
+    x window [x, x + 2]; each center is compared with its next span - 1
+    successors, in O(n * span) work and O(n) memory.  The depth is
+    2 - sqrt(min d^2), the same float a full pairwise minimum gives.
+    """
+    n = len(pts)
+    if n == 0:
+        return 0.0
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    x, y = pts[:, 0], pts[:, 1]
+    worst = max(0.0, 1.0 - x[0], x[-1] - (width - 1.0), 1.0 - y.min(), y.max() - (height - 1.0))
+    span = (np.searchsorted(x, x + 2.0, "right") - np.arange(n)).max()
+    d2 = math.inf
+    for k in range(1, span):
+        d = pts[k:] - pts[:-k]
+        d *= d
+        d2 = min(d2, (d[:, 0] + d[:, 1]).min())
+    return float(max(worst, 2.0 - math.sqrt(d2)))
+
+
 @dataclass(frozen=True, slots=True)
 class PackingRealization:
-    """Explicit circle centers inside a width x height rectangle (radius 1)."""
+    """Explicit unit-circle centers inside a width x height rectangle (lengths in radii)."""
 
     centers: tuple[tuple[float, float], ...]
     width: float
     height: float
-    radius: float = 1.0
     holes: tuple[tuple[float, float], ...] = ()
 
     def max_violation(self) -> float:
         """Largest constraint violation: wall overshoot or pair overlap depth."""
-        worst = 0.0
-        w, h = self.width, self.height
-        pts = self.centers
-        for x, y in pts:
-            worst = max(worst, 1.0 - x, 1.0 - y, x - (w - 1.0), y - (h - 1.0))
-        for i in range(len(pts)):
-            xi, yi = pts[i]
-            for j in range(i + 1, len(pts)):
-                dx = xi - pts[j][0]
-                dy = yi - pts[j][1]
-                worst = max(worst, 2.0 - math.hypot(dx, dy))
-        return worst
+        pts = np.array(self.centers, dtype=float).reshape(-1, 2)
+        return max_violation(pts, self.width, self.height)
 
     def is_valid(self, tol: float = 1e-12) -> bool:
         return self.max_violation() <= tol
@@ -95,18 +110,19 @@ class PackingRealization:
         return {
             "width": self.width,
             "height": self.height,
-            "radius": self.radius,
+            "radius": 1.0,
             "centers": [[x, y] for x, y in self.centers],
             "holes": [[x, y] for x, y in self.holes],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PackingRealization":
+        if float(obj.get("radius", 1.0)) != 1.0:
+            raise ValueError("circles must have radius 1: all lengths are in radii")
         return cls(
             centers=tuple((float(x), float(y)) for x, y in obj["centers"]),
             width=float(obj["width"]),
             height=float(obj["height"]),
-            radius=float(obj.get("radius", 1.0)),
             holes=tuple((float(x), float(y)) for x, y in obj.get("holes", ())),
         )
 
@@ -162,18 +178,17 @@ class ClassConfig:
         """Circle count: w*(h+s) - h_minus - s_minus - d."""
         return self.w * (self.h + self.s) - self.h_minus - self.s_minus - self.d
 
-    def _row_is_full(self, k: int) -> bool:
-        """Whether hex row k (0-based, bottom up) holds w circles."""
+    def _hex_row(self, k: int) -> tuple[float, int]:
+        """(x of the first center, circle count) of hex row k, 0-based bottom up."""
         if self.pattern is RowPattern.FULL:
-            return True
+            return (1.0 if k % 2 == 0 else 2.0), self.w
         if self.pattern is RowPattern.SHORT_OUTER:
-            return k % 2 == 1
-        # SHORT_OFFSET: even rows full, except mirrored when square rows
-        # must sit on a full outer row of an even-h block.
-        full_parity = 0
-        if self.s > 0 and self.h % 2 == 0:
-            full_parity = (self.h - 1) % 2
-        return k % 2 == full_parity
+            full = k % 2 == 1
+        else:
+            # SHORT_OFFSET: even rows full, except mirrored (odd rows full)
+            # when square rows must sit on a full outer row of an even-h block.
+            full = k % 2 == (1 if self.s > 0 and self.h % 2 == 0 else 0)
+        return (1.0, self.w) if full else (2.0, self.w - 1)
 
     def hole_capacity(self) -> int:
         """Interior lattice sites: hex rows 1..h-2, row ends excluded.
@@ -226,15 +241,8 @@ class ClassConfig:
                 rows.append((y, [1.0 + 2.0 * i for i in range(count)]))
         else:
             for k in range(h):
-                y = 1.0 + k * _SQRT3
-                if self.pattern is RowPattern.FULL:
-                    x0 = 1.0 if k % 2 == 0 else 2.0
-                    count = w
-                elif self._row_is_full(k):
-                    x0, count = 1.0, w
-                else:
-                    x0, count = 2.0, w - 1
-                rows.append((y, [x0 + 2.0 * i for i in range(count)]))
+                x0, count = self._hex_row(k)
+                rows.append((1.0 + k * _SQRT3, [x0 + 2.0 * i for i in range(count)]))
             # square rows stack on the (full) top hex row, same x alignment
             y_top = 1.0 + (h - 1) * _SQRT3
             top_x0 = rows[-1][1][0]
@@ -264,14 +272,7 @@ class ClassConfig:
         cx = self.width_units / 2.0
         candidates: list[tuple[float, float, float, float]] = []
         for k in range(1, self.h - 1):
-            y = 1.0 + k * _SQRT3
-            if self.pattern is RowPattern.FULL:
-                x0 = 1.0 if k % 2 == 0 else 2.0
-                count = self.w
-            elif self._row_is_full(k):
-                x0, count = 1.0, self.w
-            else:
-                x0, count = 2.0, self.w - 1
+            x0, count = self._hex_row(k)
             for i in range(1, count - 1):  # skip row ends
                 x = x0 + 2.0 * i
                 candidates.append((abs(k - mid), k, abs(x - cx), x))

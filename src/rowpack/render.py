@@ -50,14 +50,14 @@ def to_svg(realization: PackingRealization, opts: RenderOptions = RenderOptions(
     for x, y in realization.centers:
         cy = (realization.height - y) * k  # SVG y axis points down
         lines.append(
-            f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(realization.radius * k)}" '
+            f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(k)}" '
             f'fill="none" stroke="black" stroke-width="{sw}"/>'
         )
     if opts.show_holes:
         for x, y in realization.holes:
             cy = (realization.height - y) * k
             lines.append(
-                f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(realization.radius * k)}" '
+                f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(k)}" '
                 f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
             )
             lines.append(

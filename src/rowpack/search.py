@@ -206,10 +206,6 @@ def best(n: int, d_max: int = 5) -> SearchResult:
     )
 
 
-def classify(n: int, d_max: int = 5) -> Classification:
-    return best(n, d_max).classification
-
-
 def irregular_scan(
     n_lo: int, n_hi: int, d_max: int = 5, jobs: int = 1
 ) -> list[int]:
@@ -278,14 +274,6 @@ def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
         max_min_d = max(max_min_d, r.min_d)
     return Milestones(n_hi=n_hi, even_h_holed=even_h_holed,
                       first_min_d=first, max_min_d=max_min_d)
-
-
-def shape_census(n_lo: int, n_hi: int, d_max: int = 5, jobs: int = 1,
-                 results: Iterable[SearchResult] | None = None) -> dict[int, int]:
-    """n -> number of distinct optimal rectangle shapes."""
-    if results is None:
-        results = scan_range(n_lo, n_hi, d_max=d_max, jobs=jobs)
-    return {r.n: r.shape_count for r in results if n_lo <= r.n <= n_hi}
 
 
 # results file format -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -142,6 +143,12 @@ def test_trace_csv_shape():
     assert len(lines) == len(run.trace) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[3]) == pytest.approx(run.trace[0][3])
+
+
+def test_trace_csv_golden_bytes():
+    run = compact(replace(FAST, n=3, seed=9))
+    digest = hashlib.sha256(run.trace_csv().encode()).hexdigest()
+    assert digest == "25b666f139b989e773ceceee0a1c7806baf46790699d6ba835d872a8f5fe045f"
 
 
 def test_mid_run_states_stay_valid():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rowpack.packings import ClassConfig, RowPattern, hybrid_pair
+from rowpack.packings import ClassConfig, PackingRealization, RowPattern, hybrid_pair
 from rowpack.quadint import QuadInt
 
 SOFF = RowPattern.SHORT_OFFSET
@@ -197,3 +197,16 @@ def test_json_round_trip():
     cfg = ClassConfig(16, 5, FULL, d=1)
     assert ClassConfig.from_json(cfg.to_json()) == cfg
     assert cfg.to_json()["pattern"] == "full"
+
+
+def test_realization_json_is_in_unit_radii():
+    real = ClassConfig(17, 3, SOFF, d=1).coordinates()
+    blob = real.to_json()
+    assert blob["radius"] == 1.0
+    assert PackingRealization.from_json(blob) == real
+    # circles of radius 2 at distance 2 overlap; the unit-radius geometry
+    # must not accept them as a valid packing
+    with pytest.raises(ValueError, match="radius"):
+        PackingRealization.from_json(
+            {"width": 4.0, "height": 2.0, "radius": 2.0, "centers": [[1, 1], [3, 1]]}
+        )

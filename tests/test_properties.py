@@ -1,7 +1,12 @@
-"""Property tests guarding the exact enumeration kernel in rowpack.search."""
+"""Property tests guarding the exact enumeration kernel in rowpack.search
+and the overlap kernel in rowpack.packings."""
+import math
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rowpack.packings import ClassConfig, RowPattern
+from rowpack.cli import main
+from rowpack.packings import ClassConfig, RowPattern, max_violation
 from rowpack.search import best, enumerate_candidates
 
 FULL = RowPattern.FULL
@@ -66,3 +71,48 @@ def test_argmin_configs_hold_n_circles_in_the_min_area(n):
 @given(st.integers(1, 5000), st.integers(0, 6))
 def test_more_holes_never_raise_the_min_area(n, k):
     assert best(n, d_max=k + 1).min_area <= best(n, d_max=k).min_area
+
+
+def pairwise_violation(pts, width, height):
+    """O(n^2) reference: every wall term and every pair, one at a time."""
+    worst = 0.0
+    for x, y in pts:
+        worst = max(worst, 1.0 - x, 1.0 - y, x - (width - 1.0), y - (height - 1.0))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx = pts[i][0] - pts[j][0]
+            dy = pts[i][1] - pts[j][1]
+            worst = max(worst, 2.0 - math.sqrt(dx * dx + dy * dy))
+    return worst
+
+
+@st.composite
+def boxed_centers(draw):
+    """A box and up to 60 centers, some past the walls, some on a half-integer
+    lattice (exact contact distances), some duplicated."""
+    width = draw(st.floats(0.5, 30.0))
+    height = draw(st.floats(0.5, 30.0))
+
+    def coord(side):
+        return st.one_of(
+            st.floats(-2.0, side + 2.0),
+            st.integers(-4, int(2 * side) + 4).map(lambda k: k / 2.0),
+        )
+
+    pts = draw(st.lists(st.tuples(coord(width), coord(height)), max_size=55))
+    if pts:
+        pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))]
+    return pts, width, height
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_centers())
+def test_overlap_kernel_equals_pairwise_reference(case):
+    pts, width, height = case
+    arr = np.array(pts, dtype=float).reshape(-1, 2)
+    assert max_violation(arr, width, height) == pairwise_violation(pts, width, height)
+
+
+def test_render_20000_circles(capsys):
+    assert main(["render", "--n", "20000"]) == 0
+    assert capsys.readouterr().out.count("<circle") == 20000

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from rowpack.packings import ClassConfig, RowPattern
+from rowpack.packings import ClassConfig, RowPattern, hybrid_pair
 from rowpack.render import RenderOptions, aspect_scatter_csv, to_svg
 from rowpack.search import best, scan_range
 
@@ -84,3 +85,16 @@ def test_scatter_includes_best_49_once():
     results = [best(49)]
     csv = aspect_scatter_csv(results)
     assert csv.count("49,") == 1  # ties share a single shape, one row
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (ClassConfig(17, 3, SOFF, d=1),
+     "f1075c8e627501d9bcc4f64dfb36ebbb011f69755ed162cf00fd4a072dd6fd20"),
+    (ClassConfig(16, 5, FULL, d=1),
+     "3ea2641bde0cb4c8de0afaf3a8c4f07dbae3c4f8551cf1924b4c8c402136a71d"),
+    (hybrid_pair(4)[1],
+     "babe59a729a4862584aa1121af35423684064c6078a530b38788655abe910630"),
+])
+def test_svg_golden_bytes(cfg, digest):
+    """The SVG of a holed, a full-row and a hybrid packing stays byte for byte the same."""
+    assert hashlib.sha256(to_svg(cfg.coordinates()).encode()).hexdigest() == digest

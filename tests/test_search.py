@@ -9,14 +9,12 @@ from rowpack.quadint import QuadInt
 from rowpack.search import (
     Classification,
     best,
-    classify,
     enumerate_candidates,
     irregular_scan,
     milestones,
     read_results,
     result_to_json,
     scan_range,
-    shape_census,
     write_results,
 )
 
@@ -74,8 +72,8 @@ def test_best_small_anchor_cases():
 
 
 def test_classify_examples():
-    assert classify(25) is Classification.REGULAR
-    assert classify(97) is Classification.MAY_HAVE_HOLE
+    assert best(25).classification is Classification.REGULAR
+    assert best(97).classification is Classification.MAY_HAVE_HOLE
     r49, r50 = best(49), best(50)
     assert r50.classification is Classification.REGULAR
     assert (r50.width, r50.height()) == (r49.width, r49.height())
@@ -116,7 +114,7 @@ def test_milestone_411_argmin():
 
 
 def test_shape_census():
-    census = shape_census(1, 31)
+    census = {r.n: r.shape_count for r in scan_range(1, 31)}
     assert census[12] == 3
     for n in (4, 6, 8, 9, 10, 15, 19, 31):
         assert census[n] == 2, f"n={n}"
