@@ -2,9 +2,11 @@
 
 Range scans fan out over processes (--jobs, or the PACK_JOBS environment
 variable, default the core count; at most one process per core and per n);
-parallel and serial runs write byte-identical files.  A bad job count is a
-one-line error with exit status 2.  Compactor commands require an explicit
-seed.  Exit status is nonzero whenever a reproduction report falls short.
+parallel and serial runs write byte-identical files.  `range` writes each
+JSONL line as its block of n arrives, so its memory stays flat over long
+ranges.  A bad job count is a one-line error with exit status 2.  Compactor
+commands require an explicit seed.  Exit status is nonzero whenever a
+reproduction report falls short.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import compactor, render, search, tables, theory
 
@@ -50,21 +53,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_range(args: argparse.Namespace) -> int:
-    results = search.scan_range(args.n_lo, args.n_hi, d_max=args.dmax, jobs=args.jobs)
-    lines = "".join(
-        json.dumps(search.result_to_json(r), separators=(",", ":")) + "\n" for r in results
-    )
+    results = search.iter_range(args.n_lo, args.n_hi, d_max=args.dmax, jobs=args.jobs)
     counts = {"regular": 0, "may_hole": 0, "must_hole": 0}
-    for r in results:
-        counts[r.classification.value] += 1
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for r in results:  # each line is written as its block arrives
+            out.write(json.dumps(search.result_to_json(r), separators=(",", ":")) + "\n")
+            counts[r.classification.value] += 1
     summary = {"from": args.n_lo, "to": args.n_hi, "counts": counts,
                "irregular": counts["may_hole"] + counts["must_hole"]}
-    if args.out:
-        _emit(lines, args.out)
-        print(json.dumps(summary))
-    else:
-        sys.stdout.write(lines)
-        print(json.dumps(summary), file=sys.stderr)
+    print(json.dumps(summary), file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

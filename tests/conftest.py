@@ -1,0 +1,54 @@
+"""Session fixtures for sweeps that back more than one test.
+
+The oracle sweep over n = 1..60 and the improvement sweep over n = 1..213
+are each computed once per session and shared by tests/test_search.py,
+tests/test_improve.py and tests/test_acceptance.py.
+"""
+import time
+
+import pytest
+
+from naive_oracle import naive_best
+from rowpack.improve import MoveKind, applicable_move, improved_metrics
+from rowpack.search import Classification, best, enumerate_candidates
+
+
+@pytest.fixture(scope="session")
+def oracle_sweep():
+    """([(n, oracle area, oracle argmin, engine area, engine argmin)], seconds).
+
+    Areas are (p, q) pairs and argmin sets hold (w, h, pattern, s, s_minus, d)
+    tuples, for n = 1..60 at d_max = 5; seconds is the sweep's wall time.
+    """
+    t0 = time.time()
+    rows = []
+    for n in range(1, 61):
+        area, configs = naive_best(n, d_max=5)
+        r = best(n, d_max=5)
+        engine = {(c.w, c.h, c.pattern.value, c.s, c.s_minus, c.d) for c in r.argmin}
+        rows.append((n, area, configs, (r.min_area.p, r.min_area.q), engine))
+    return rows, time.time() - t0
+
+
+@pytest.fixture(scope="session")
+def improvement_sweep():
+    """[(n, improved density, best hole-free density)] for each n <= 213 whose
+    holed argmin admits a relocation move (the first such config is moved)."""
+    rows = []
+    for n in range(1, 214):
+        result = best(n)
+        if result.classification is Classification.REGULAR:
+            continue
+        movers = [
+            c for c in result.argmin
+            if c.d >= 1 and applicable_move(c) is not MoveKind.NONE
+        ]
+        if not movers:
+            continue  # no odd-h move published for this family
+        improved = improved_metrics(movers[0]).new_density
+        hole_free = max(
+            (c.density() for c in enumerate_candidates(n) if c.d == 0),
+            default=0.0,
+        )
+        rows.append((n, improved, hole_free))
+    return rows

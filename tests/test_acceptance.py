@@ -10,11 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from naive_oracle import naive_best
 from rowpack.compactor import CompactorParams, best_of, compact
 from rowpack.improve import (
-    MoveKind,
-    applicable_move,
     delta_h5_relocation,
     delta_side_relocation,
     improved_metrics,
@@ -24,7 +21,6 @@ from rowpack.quadint import QuadInt
 from rowpack.search import (
     Classification,
     best,
-    enumerate_candidates,
     milestones,
     scan_range,
 )
@@ -185,28 +181,11 @@ def test_criterion_05_milestones(full_scan):
     assert configs_ok
 
 
-def test_criterion_06_improvements():
+def test_criterion_06_improvements(improvement_sweep):
     d1, d2 = delta_side_relocation(), delta_h5_relocation()
     dens49 = improved_metrics(ClassConfig(17, 3, SOFF, d=1)).new_density
-    strict_ok = True
-    applicable_ns = []
-    for n in range(1, 214):
-        result = best(n)
-        if result.classification is Classification.REGULAR:
-            continue
-        movers = [
-            c for c in result.argmin
-            if c.d >= 1 and applicable_move(c) is not MoveKind.NONE
-        ]
-        if not movers:
-            continue
-        improved = improved_metrics(movers[0]).new_density
-        top_hole_free = max(
-            c.density() for c in enumerate_candidates(n) if c.d == 0
-        )
-        applicable_ns.append(n)
-        if not improved > top_hole_free:
-            strict_ok = False
+    strict_ok = all(improved > top for _, improved, top in improvement_sweep)
+    applicable_ns = [n for n, _, _ in improvement_sweep]
     # the complete applicable odd-h set at or below 213
     expected_ns = [49, 61, 79, 97, 107, 142, 181, 197]
     ok = (
@@ -338,18 +317,12 @@ def test_criterion_10_compactor():
         assert g <= 0.02, f"n={n}: best-of-50 gap {g * 100:.2f}% exceeds 2%"
 
 
-def test_criterion_11_oracle_equivalence():
-    t0 = time.time()
-    mismatches = []
-    for n in range(1, 61):
-        area, configs = naive_best(n, d_max=5)
-        r = best(n, d_max=5)
-        engine = {
-            (c.w, c.h, c.pattern.value, c.s, c.s_minus, c.d) for c in r.argmin
-        }
-        if (r.min_area.p, r.min_area.q) != area or engine != configs:
-            mismatches.append(n)
-    elapsed = time.time() - t0
+def test_criterion_11_oracle_equivalence(oracle_sweep):
+    rows, elapsed = oracle_sweep
+    mismatches = [
+        n for n, area, configs, engine_area, engine in rows
+        if engine_area != area or engine != configs
+    ]
     ok = not mismatches and elapsed < 10.0
     report(11, ok, f"pruned search == naive enumerator for n=1..60, {elapsed:.2f}s")
     assert not mismatches

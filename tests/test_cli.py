@@ -50,6 +50,11 @@ def test_range_parallel_bytes_match_serial(tmp_path, capsys):
     run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "1", "--out", str(serial))
     run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "3", "--out", str(parallel))
     assert serial.read_bytes() == parallel.read_bytes()
+    # streamed to stdout, the lines are the file's bytes, in the same order
+    _, out1, err1 = run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "1")
+    _, out2, err2 = run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "2")
+    assert out1 == out2 == serial.read_text()
+    assert err1 == err2
 
 
 def test_range_empty_errors(capsys):
@@ -171,8 +176,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
+    def imap(self, fn, items):
+        return map(fn, items)
 
 
 def test_pool_capped_by_span_and_cores(capsys, monkeypatch):

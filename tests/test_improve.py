@@ -10,7 +10,6 @@ from rowpack.improve import (
     improved_metrics,
 )
 from rowpack.packings import ClassConfig, RowPattern
-from rowpack.search import Classification, best
 
 SOFF = RowPattern.SHORT_OFFSET
 SOUT = RowPattern.SHORT_OUTER
@@ -89,23 +88,8 @@ def test_inapplicable_rejected_with_reason():
         improved_metrics(ClassConfig(27, 12, SOFF, d=1))
 
 
-def test_improvement_beats_every_hole_free_config_to_213():
+def test_improvement_beats_every_hole_free_config_to_213(improvement_sweep):
     """The irregularity proof: improved holed optima beat all d=0 class members."""
-    from rowpack.search import enumerate_candidates
-
-    for n in range(1, 214):
-        result = best(n)
-        if result.classification is Classification.REGULAR:
-            continue
-        movers = [
-            c for c in result.argmin
-            if c.d >= 1 and applicable_move(c) is not MoveKind.NONE
-        ]
-        if not movers:
-            continue  # no odd-h move published for this family
-        improved = improved_metrics(movers[0]).new_density
-        best_hole_free = max(
-            (c.density() for c in enumerate_candidates(n) if c.d == 0),
-            default=0.0,
-        )
+    assert improvement_sweep
+    for n, improved, best_hole_free in improvement_sweep:
         assert improved > best_hole_free, f"n={n}"

@@ -1,5 +1,5 @@
-"""Property tests guarding the exact enumeration kernel in rowpack.search
-and the overlap kernel in rowpack.packings."""
+"""Property tests guarding the exact block sieve in rowpack.search and the
+overlap kernel in rowpack.packings."""
 import math
 
 import numpy as np
@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rowpack.cli import main
 from rowpack.packings import ClassConfig, RowPattern, max_violation
-from rowpack.search import best, enumerate_candidates
+from rowpack import search
+from rowpack.search import BLOCK, best, enumerate_candidates, result_to_json, scan_range
 
 FULL = RowPattern.FULL
 SOFF = RowPattern.SHORT_OFFSET
@@ -71,6 +72,47 @@ def test_argmin_configs_hold_n_circles_in_the_min_area(n):
 @given(st.integers(1, 5000), st.integers(0, 6))
 def test_more_holes_never_raise_the_min_area(n, k):
     assert best(n, d_max=k + 1).min_area <= best(n, d_max=k).min_area
+
+
+D_MAX = st.sampled_from([0, 2, 5, 9])
+
+
+@st.composite
+def ranges(draw):
+    """(n_lo, n_hi) up to 20000: one block or a few, never a whole number of blocks."""
+    blocks = draw(st.integers(0, 2))
+    length = blocks * BLOCK + draw(st.integers(1, BLOCK - 1))
+    n_lo = draw(st.integers(1, 20001 - length))
+    return n_lo, n_lo + length - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(ranges(), D_MAX)
+def test_range_scan_equals_one_n_blocks(bounds, d_max):
+    n_lo, n_hi = bounds
+    got = [result_to_json(r) for r in scan_range(n_lo, n_hi, d_max=d_max)]
+    assert got == [result_to_json(best(n, d_max)) for n in range(n_lo, n_hi + 1)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 300), st.integers(0, BLOCK - 1), st.integers(0, BLOCK - 1), D_MAX)
+def test_block_min_and_ties_equal_unpruned_enumeration(n, below, above, d_max):
+    # a block holding n at any offset: its pruning is looser than n's own
+    n_lo, n_hi = max(1, n - below), n + min(above, BLOCK - 1 - below)
+    r = scan_range(n_lo, n_hi, d_max=d_max)[n - n_lo]
+    configs = list(enumerate_candidates(n, d_max))
+    areas = [c.area() for c in configs]
+    low = min(areas)
+    assert r.n == n and r.min_area == low
+    assert set(r.argmin) == {c for c, a in zip(configs, areas) if a == low}
+    assert len(set(r.argmin)) == len(r.argmin)
+
+
+def test_adjacent_blocks_equal_one_n_blocks_dmax_9():
+    blocks = search._block((1, 64, 9)) + search._block((65, 128, 9))
+    assert [result_to_json(r) for r in blocks] == [
+        result_to_json(best(n, 9)) for n in range(1, 129)
+    ]
 
 
 def pairwise_violation(pts, width, height):

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from naive_oracle import naive_best
 from rowpack.packings import ClassConfig, RowPattern
 from rowpack.quadint import QuadInt
 from rowpack.search import (
@@ -79,12 +78,12 @@ def test_classify_examples():
     assert (r50.width, r50.height()) == (r49.width, r49.height())
 
 
-def test_oracle_equivalence_to_60():
-    for n in range(1, 61):
-        area, configs = naive_best(n, d_max=5)
-        r = best(n, d_max=5)
-        assert (r.min_area.p, r.min_area.q) == area, f"n={n}"
-        assert {as_tuple(c) for c in r.argmin} == configs, f"n={n}"
+def test_oracle_equivalence_to_60(oracle_sweep):
+    rows, _ = oracle_sweep
+    assert [row[0] for row in rows] == list(range(1, 61))
+    for n, area, configs, engine_area, engine_configs in rows:
+        assert engine_area == area, f"n={n}"
+        assert engine_configs == configs, f"n={n}"
 
 
 def test_irregular_scan_first_values():
