@@ -13,6 +13,15 @@ terminates) is the same, and the projection is deterministic.
 
 Randomness comes from numpy's default_rng (PCG64) seeded per run, so
 identical parameters reproduce byte-identical traces on any platform.
+
+_SKIN = 0.5 was measured, not derived.  Replaying the recorded relaxation
+calls of the two slowest acceptance-gate runs (n = 8 seed 6, n = 7 seed 8)
+and of two FAST-style runs (n = 11 seed 8; n = 25 seed 0, 300 moves),
+interleaved in one process on one vCPU of a shared 2-vCPU VM (Python
+3.11.7): a skin of 0.3 is within 2% of 0.5, 0.8 is 5-7% slower and 1.2 is
+9-12% slower.  Against the all-pairs loop, 0.5 is 1.58x (gate) and 2.27x
+(FAST) faster.  A small skin rebuilds the list more often; a large one
+lists pairs that never touch.
 """
 from __future__ import annotations
 
@@ -26,6 +35,9 @@ from . import search
 from .packings import PackingRealization, max_violation
 
 _TOL = 1e-9
+# neighbour-list skin of _relax_core; the module docstring gives the measurement
+_SKIN = 0.5
+_REACH2 = (2.0 + _SKIN) ** 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +89,8 @@ def random_start(
     """Seeded rejection-sampled sparse start in a box of slack x optimal area.
 
     The aspect ratio is drawn uniformly from [0.2, 1.0], with the lower end
-    clamped to 4/area so the box always has room for one circle.
+    clamped to 4/area so the box always has room for one circle; an
+    area = slack * opt_area below 4, or not finite, is a ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -85,8 +98,13 @@ def random_start(
         raise ValueError("slack must exceed 1")
     if opt_area is None:
         opt_area = search.best(n).min_area.to_float()
-    rng = np.random.default_rng(seed)
     area = slack * opt_area
+    if not (math.isfinite(area) and area >= 4.0):
+        raise ValueError(
+            f"opt_area={opt_area!r} leaves no room for one circle: "
+            "slack * opt_area must be finite and >= 4"
+        )
+    rng = np.random.default_rng(seed)
     aspect = rng.uniform(max(0.2, 4.0 / area), 1.0)
     width = math.sqrt(area / aspect)
     height = math.sqrt(area * aspect)
@@ -119,16 +137,92 @@ def random_start(
     )
 
 
+def _neighbours(xs: list[float], ys: list[float]) -> list[tuple[int, list[int]]]:
+    """Rows (i, [j, ...]), j > i, of the pairs closer than 2 + _SKIN."""
+    n = len(xs)
+    rows = []
+    for i in range(n):
+        xi = xs[i]
+        yi = ys[i]
+        js = []
+        for j in range(i + 1, n):
+            dx = xi - xs[j]
+            dy = yi - ys[j]
+            if dx * dx + dy * dy < _REACH2:
+                js.append(j)
+        if js:
+            rows.append((i, js))
+    return rows
+
+
+def _sweep(
+    xs: list[float], ys: list[float], rows, worst: float, moved: float, limit: float,
+    sqrt=math.sqrt,
+) -> tuple[float, float, tuple[int, int] | None]:
+    """One Gauss-Seidel pass over rows (i, js) in order, in place.
+
+    Returns (worst, moved, stop).  stop is None after a whole pass, or the
+    pair (i, j) whose push took moved to limit; the pass ends after it.
+    sqrt is a default argument so the hot loop looks it up as a local.
+    """
+    for i, js in rows:
+        xi = xs[i]
+        yi = ys[i]
+        for j in js:
+            xj = xs[j]
+            yj = ys[j]
+            dx = xi - xj
+            dy = yi - yj
+            d2 = dx * dx + dy * dy
+            if d2 >= 4.0:
+                continue
+            dist = sqrt(d2)
+            gap = 2.0 - dist
+            if gap > worst:
+                worst = gap
+            push = 0.5 * gap
+            if dist == 0.0:  # coincident: deterministic separation axis (1, 0)
+                px, py = push, 0.0
+            else:
+                px, py = dx / dist * push, dy / dist * push
+            xi = xi + px
+            yi = yi + py
+            xs[j] = xj - px
+            ys[j] = yj - py
+            moved += gap
+            if moved >= limit:
+                xs[i] = xi
+                ys[i] = yi
+                return worst, moved, (i, j)
+        xs[i] = xi
+        ys[i] = yi
+    return worst, moved, None
+
+
 def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> bool:
     """Project pts into a feasible state for the box; True on success.
 
     Clamps into the wall-offset box, then separates overlapping pairs
-    symmetrically along their center line, in fixed index order, repeating
-    until the worst violation is below 1e-9 or the budget is spent.  The
-    separation is one plain-Python loop over all pairs.  True is returned
-    only when packings.max_violation(pts, width, height) <= _TOL on the
-    final pts, so it certifies that the state left in pts is valid for the
-    box; callers need not check again.
+    symmetrically along their center line, in fixed (i, j) index order
+    (Gauss-Seidel), repeating until the worst violation is below 1e-9 or
+    the budget is spent.  True is returned only when
+    packings.max_violation(pts, width, height) <= _TOL on the final pts, so
+    it certifies that the state left in pts is valid for the box; callers
+    need not check again.
+
+    Once a sweep moves the centres by less than _SKIN/2 in total, the
+    following sweeps visit only the pairs of a neighbour list: those closer
+    than 2 + _SKIN at that point.  `moved` sums every centre's displacement
+    since then (the clamp's |dx| + |dy|, and `gap` per push, which moves two
+    centres by gap/2 each), so an unlisted pair is still more than
+    2 + _SKIN - moved apart.  While moved < _SKIN/2 its d2 is therefore
+    >= 4 with a margin far above rounding, and the all-pairs loop would
+    have skipped it without touching a float.  When the clamp takes moved
+    to _SKIN/2, the sweep covers all pairs; when a push does so mid-sweep,
+    the rest of that sweep covers every remaining pair in order.  Either
+    way the list is dropped until a sweep is calm again.  Visited pairs see
+    the same float operations in the same order, so pts, the flag and the
+    sweep count equal those of the all-pairs loop bit for bit.
     """
     if width < 2.0 - _TOL or height < 2.0 - _TOL:
         return False
@@ -138,39 +232,40 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
     rng_n = range(n)
+    all_rows = [(i, range(i + 1, n)) for i in rng_n]
+    half = 0.5 * _SKIN
+    listed = None  # neighbour rows; None sweeps all pairs
+    moved = 0.0  # displacement since listed was built, or in this sweep
     best_worst = math.inf
     since_improve = 0
     for _ in range(iters):
         for i in rng_n:
             x = xs[i]
-            xs[i] = xlo if x < xlo else (xhi if x > xhi else x)
+            if x < xlo:
+                moved += xlo - x
+                xs[i] = xlo
+            elif x > xhi:
+                moved += x - xhi
+                xs[i] = xhi
             y = ys[i]
-            ys[i] = ylo if y < ylo else (yhi if y > yhi else y)
-        worst = 0.0
-        for i in rng_n:
-            xi = xs[i]
-            yi = ys[i]
-            for j in range(i + 1, n):
-                dx = xi - xs[j]
-                dy = yi - ys[j]
-                d2 = dx * dx + dy * dy
-                if d2 >= 4.0:
-                    continue
-                dist = math.sqrt(d2)
-                gap = 2.0 - dist
-                if gap > worst:
-                    worst = gap
-                if dist == 0.0:
-                    ux, uy = 1.0, 0.0  # coincident: deterministic separation axis
-                else:
-                    ux, uy = dx / dist, dy / dist
-                push = 0.5 * gap
-                xi = xi + ux * push
-                yi = yi + uy * push
-                xs[j] -= ux * push
-                ys[j] -= uy * push
-            xs[i] = xi
-            ys[i] = yi
+            if y < ylo:
+                moved += ylo - y
+                ys[i] = ylo
+            elif y > yhi:
+                moved += y - yhi
+                ys[i] = yhi
+        if listed is not None and moved < half:
+            worst, moved, stop = _sweep(xs, ys, listed, 0.0, moved, half)
+            if stop is not None:  # the list no longer proves the rest apart
+                i, j = stop
+                rest = [(i, range(j + 1, n)), *all_rows[i + 1:]]
+                worst, moved, _ = _sweep(xs, ys, rest, worst, moved, math.inf)
+        else:
+            worst, moved, _ = _sweep(xs, ys, all_rows, 0.0, moved, math.inf)
+        if not moved < half:  # centres still travel: sweep all pairs next
+            listed, moved = None, 0.0
+        elif listed is None:  # a calm sweep: list the pairs that can meet soon
+            listed, moved = _neighbours(xs, ys), 0.0
         if worst <= _TOL:
             pts[:, 0] = xs
             pts[:, 1] = ys
@@ -180,6 +275,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
                 return True
             xs = pts[:, 0].tolist()
             ys = pts[:, 1].tolist()
+            listed, moved = None, 0.0  # the clip moved centres
         # stalled separation means an infeasible proposal: fail early
         if worst < 0.97 * best_worst:
             best_worst = worst

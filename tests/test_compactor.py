@@ -57,6 +57,22 @@ def test_random_start_reports_impossible_boxes():
         random_start(40, seed=3, slack=1.0000001)
 
 
+@pytest.mark.parametrize("opt_area", [1.0, -5.0, math.nan, math.inf, -math.inf])
+def test_random_start_rejects_bad_opt_area(opt_area):
+    with pytest.raises(ValueError, match="opt_area"):
+        random_start(1, 0, slack=1.5, opt_area=opt_area)
+
+
+def test_random_start_bad_opt_area_check_keeps_the_stream():
+    # the smallest area that fits one circle: the 2 x 2 box, center (1, 1)
+    r = random_start(1, 0, slack=2.0, opt_area=2.0)
+    assert (r.width, r.height, r.centers) == (2.0, 2.0, ((1.0, 1.0),))
+    # a valid call draws the same stream as before the check existed
+    r = random_start(3, 5, opt_area=30.0)
+    assert (r.width, r.height) == (10.326411553423586, 8.715515504527968)
+    assert r.centers[0] == (7.727247526144118, 4.460676795058078)
+
+
 def test_relax_fixed_point():
     r = PackingRealization(centers=((1.0, 1.0), (4.0, 1.0)), width=8.0, height=2.0)
     ok, out = relax(r, iters=50)
@@ -149,6 +165,27 @@ def test_trace_csv_golden_bytes():
     run = compact(replace(FAST, n=3, seed=9))
     digest = hashlib.sha256(run.trace_csv().encode()).hexdigest()
     assert digest == "25b666f139b989e773ceceee0a1c7806baf46790699d6ba835d872a8f5fe045f"
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "trace_digest", "centers_digest"),
+    [
+        (20, 1, "e5a05b94f36d7c63817fa6410fabc6cc894554cb245d0cfdfe1b539c09f40223",
+         "512fa070aa2801d229207f7e062945c0f9652b88312cdfea887ba82b24ddb2b6"),
+        (24, 0, "669bdd4d28ab286bb14e6b2ef26d676e10d641fb079f57b5e350c69e3da2295d",
+         "9090099f8273c8370efc0e970afc98b5c2b9e0d41917c2cb79c744426e6ae6da"),
+    ],
+    ids=["n20", "n24"],
+)
+def test_trace_csv_golden_bytes_large_n(n, seed, trace_digest, centers_digest):
+    """Digests recorded with the all-pairs relaxation loop.  The n = 3
+    golden above visits 97% of its pairs; these runs visit 26% (n = 20)
+    and 19% (n = 24), so they check the neighbour list where it prunes."""
+    run = compact(replace(FAST, n=n, seed=seed))
+    assert run.terminated is Termination.STEP_FLOOR
+    assert hashlib.sha256(run.trace_csv().encode()).hexdigest() == trace_digest
+    centers = repr(run.realization.centers).encode()
+    assert hashlib.sha256(centers).hexdigest() == centers_digest
 
 
 def test_mid_run_states_stay_valid():

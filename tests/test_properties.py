@@ -1,5 +1,6 @@
 """Property tests guarding the exact block sieve in rowpack.search and the
-overlap kernel in rowpack.packings."""
+overlap kernel in rowpack.packings, and the neighbour-list relaxation in
+rowpack.compactor against its all-pairs loop."""
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rowpack.cli import main
 from rowpack.packings import ClassConfig, RowPattern, max_violation
-from rowpack import search
+from rowpack import compactor, search
 from rowpack.search import BLOCK, best, enumerate_candidates, result_to_json, scan_range
 
 FULL = RowPattern.FULL
@@ -158,3 +159,97 @@ def test_overlap_kernel_equals_pairwise_reference(case):
 def test_render_20000_circles(capsys):
     assert main(["render", "--n", "20000"]) == 0
     assert capsys.readouterr().out.count("<circle") == 20000
+
+
+def all_pairs_relax(pts, width, height, iters):
+    """Reference relaxation: clamp, then one Gauss-Seidel loop over all pairs
+    in (i, j) order each sweep, with the stall rule and the final certificate
+    of compactor._relax_core."""
+    tol = compactor._TOL
+    if width < 2.0 - tol or height < 2.0 - tol:
+        return False
+    n = len(pts)
+    xlo, xhi = 1.0, width - 1.0
+    ylo, yhi = 1.0, height - 1.0
+    xs = pts[:, 0].tolist()
+    ys = pts[:, 1].tolist()
+    best_worst = math.inf
+    since_improve = 0
+    for _ in range(iters):
+        for i in range(n):
+            x = xs[i]
+            xs[i] = xlo if x < xlo else (xhi if x > xhi else x)
+            y = ys[i]
+            ys[i] = ylo if y < ylo else (yhi if y > yhi else y)
+        worst = 0.0
+        for i in range(n):
+            xi = xs[i]
+            yi = ys[i]
+            for j in range(i + 1, n):
+                dx = xi - xs[j]
+                dy = yi - ys[j]
+                d2 = dx * dx + dy * dy
+                if d2 >= 4.0:
+                    continue
+                dist = math.sqrt(d2)
+                gap = 2.0 - dist
+                if gap > worst:
+                    worst = gap
+                if dist == 0.0:
+                    ux, uy = 1.0, 0.0
+                else:
+                    ux, uy = dx / dist, dy / dist
+                push = 0.5 * gap
+                xi = xi + ux * push
+                yi = yi + uy * push
+                xs[j] -= ux * push
+                ys[j] -= uy * push
+            xs[i] = xi
+            ys[i] = yi
+        if worst <= tol:
+            pts[:, 0] = xs
+            pts[:, 1] = ys
+            np.clip(pts[:, 0], xlo, xhi, out=pts[:, 0])
+            np.clip(pts[:, 1], ylo, yhi, out=pts[:, 1])
+            if max_violation(pts, width, height) <= tol:
+                return True
+            xs = pts[:, 0].tolist()
+            ys = pts[:, 1].tolist()
+        if worst < 0.97 * best_worst:
+            best_worst = worst
+            since_improve = 0
+        else:
+            since_improve += 1
+            if since_improve > 60:
+                break
+    pts[:, 0] = xs
+    pts[:, 1] = ys
+    return max_violation(pts, width, height) <= tol
+
+
+@st.composite
+def relax_cases(draw):
+    """Up to 40 centers scattered around one point, from coincident to spread
+    wider than the box and past its walls, in boxes from loose to infeasible."""
+    width = draw(st.floats(1.9, 40.0))
+    height = draw(st.floats(1.9, 40.0))
+    spread = draw(st.sampled_from([0.0, 1e-6, 0.3, 1.5, 4.0, 12.0, 40.0]))
+    cx = draw(st.floats(-5.0, width + 5.0))
+    cy = draw(st.floats(-5.0, height + 5.0))
+    unit = st.floats(-1.0, 1.0)
+    offsets = draw(
+        st.lists(st.one_of(st.tuples(unit, unit), st.just((0.0, 0.0))), max_size=40)
+    )
+    pts = np.array([(cx + spread * u, cy + spread * v) for u, v in offsets]).reshape(-1, 2)
+    return pts, width, height, draw(st.integers(1, 80))
+
+
+@settings(max_examples=250, deadline=None)
+@given(relax_cases())
+def test_relax_neighbour_list_equals_all_pairs(case):
+    pts, width, height, iters = case
+    ref = pts.copy()
+    assert compactor._relax_core(pts, width, height, iters) == all_pairs_relax(
+        ref, width, height, iters
+    )
+    assert pts.tobytes() == ref.tobytes()
