@@ -4,7 +4,7 @@ Exact search over row-structured packings (square grid, hexagonal, hybrids,
 with monovacancies), improvement-move analysis, closed-form asymptotics, a
 stochastic wall-press compactor, and SVG rendering.
 """
-from .quadint import QuadInt, compare
+from .quadint import QuadInt
 from .packings import ClassConfig, PackingRealization, RowPattern, hybrid_pair
 from .search import (
     Classification,
@@ -28,13 +28,13 @@ from .theory import (
     verify_convergent_regularity,
     waste_constants,
 )
-from .compactor import CompactorParams, CompactorRun, best_of, compact, random_start, relax
+from .compactor import CompactorParams, CompactorRun, best_of, compact, random_start
 from .render import RenderOptions, aspect_scatter_csv, to_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadInt", "compare",
+    "QuadInt",
     "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
     "Classification", "SearchResult", "best", "enumerate_candidates",
     "irregular_scan", "milestones", "read_results", "scan_range", "write_results",
@@ -42,6 +42,6 @@ __all__ = [
     "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",
     "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",
     "waste_constants",
-    "CompactorParams", "CompactorRun", "best_of", "compact", "random_start", "relax",
+    "CompactorParams", "CompactorRun", "best_of", "compact", "random_start",
     "RenderOptions", "aspect_scatter_csv", "to_svg",
 ]

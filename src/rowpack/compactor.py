@@ -3,25 +3,45 @@
 A run starts from a seeded random sparse arrangement, then alternately
 proposes shrinking the width or the height wall pair by the current relative
 step.  A proposal moves the walls only; an iterative relaxation (clamp into
-the box, then Gauss-Seidel separation of overlapping pairs) must drive the
-worst violation below 1e-9 within the iteration budget, otherwise the
-proposal is reverted and that side's step is halved.  A run terminates when
-both steps drop below step_floor, or when the move budget runs out.  The
-hard-collision dynamics of a real compactor are replaced by this feasibility
-projection: the contract (never any overlap, walls only press, jamming
-terminates) is the same, and the projection is deterministic.
+the box, then over-relaxed Gauss-Seidel separation of overlapping pairs)
+must drive the worst violation below 1e-9 within the iteration budget,
+otherwise the proposal is reverted and that side's step is halved.  A run
+terminates when both steps drop below step_floor, or when the move budget
+runs out.  The hard-collision dynamics of a real compactor are replaced by
+this feasibility projection: the contract (never any overlap, walls only
+press, jamming terminates) is the same, and the projection is
+deterministic.
 
 Randomness comes from numpy's default_rng (PCG64) seeded per run, so
 identical parameters reproduce byte-identical traces on any platform.
 
-_SKIN = 0.5 was measured, not derived.  Replaying the recorded relaxation
-calls of the two slowest acceptance-gate runs (n = 8 seed 6, n = 7 seed 8)
-and of two FAST-style runs (n = 11 seed 8; n = 25 seed 0, 300 moves),
-interleaved in one process on one vCPU of a shared 2-vCPU VM (Python
-3.11.7): a skin of 0.3 is within 2% of 0.5, 0.8 is 5-7% slower and 1.2 is
-9-12% slower.  Against the all-pairs loop, 0.5 is 1.58x (gate) and 2.27x
-(FAST) faster.  A small skin rebuilds the list more often; a large one
-lists pairs that never touch.
+_OMEGA = 1.5 was measured, not derived.  A plain projection (each center of
+an overlapping pair moves gap/2, _OMEGA = 1) converges only linearly on a
+nearly jammed chain: at the acceptance-gate parameters n = 8 seed 6 and
+n = 7 seed 8 crept through about 1960 tiny accepted moves to max_moves,
+nearly every relaxation spending about 390 of its 400 sweeps.  Pushing
+each center _OMEGA/2 * gap (successive over-relaxation) ends both on the
+step floor within a dozen moves.  Wall time by _OMEGA (Python 3.11.7, one
+process on a shared 2-vCPU VM, one run each):
+
+    _OMEGA                          1.0    1.2    1.3    1.5    1.7    1.8
+    80 runs, n 1..8 x seeds 0..9    4.86   0.72   0.72   0.69   4.58   2.21 s
+    400 runs, n 1..8 x seeds 0..49  17.4   16.2   12.6   10.4   14.4   15.9 s
+
+both at the gate parameters (slack 3, shrink_step 0.3, relax_iters 400,
+step_floor 1e-7, max_moves 2000).  The 80 runs end on max_moves 2 times
+at 1.0 and 1.7, once at 1.8 and never at 1.2-1.5.  Over the 400 runs the
+mean gap to the class optimum is 0.0891 and 189 runs are within 2%, both
+at 1.0 and at 1.5; every best-of-50 gap is below 2e-7 at every _OMEGA.
+Past 1.5 the over-relaxed runs jam worse: the largest best-of-10 gap over
+the 80 runs rises from 6.2% to 9.5% at 1.7 and 1.8.
+
+_SKIN = 0.5 was measured too, at _OMEGA = 1 and again at 1.5.  On the same
+VM at 1.5, the 400 gate runs take 10.3 s at a skin of 0.3, 10.6 s at 0.5
+and at 0.8 (medians of five runs) and 11.3 s at 1.2 (two runs); ten FAST
+seeds each of n = 11 and n = 25 (tests/test_compactor.py) take 6.6, 6.7,
+6.9 and 7.4 s.  0.5 stays within 3% of the best skin.  A small skin
+rebuilds the list more often; a large one lists pairs that never touch.
 """
 from __future__ import annotations
 
@@ -35,7 +55,9 @@ from . import search
 from .packings import PackingRealization, max_violation
 
 _TOL = 1e-9
-# neighbour-list skin of _relax_core; the module docstring gives the measurement
+# over-relaxation factor and neighbour-list skin of _relax_core; the module
+# docstring gives the measurements
+_OMEGA = 1.5
 _SKIN = 0.5
 _REACH2 = (2.0 + _SKIN) ** 2
 
@@ -157,13 +179,15 @@ def _neighbours(xs: list[float], ys: list[float]) -> list[tuple[int, list[int]]]
 
 def _sweep(
     xs: list[float], ys: list[float], rows, worst: float, moved: float, limit: float,
-    sqrt=math.sqrt,
+    sqrt=math.sqrt, half_omega=0.5 * _OMEGA,
 ) -> tuple[float, float, tuple[int, int] | None]:
-    """One Gauss-Seidel pass over rows (i, js) in order, in place.
+    """One over-relaxed Gauss-Seidel pass over rows (i, js) in order, in place.
 
-    Returns (worst, moved, stop).  stop is None after a whole pass, or the
-    pair (i, j) whose push took moved to limit; the pass ends after it.
-    sqrt is a default argument so the hot loop looks it up as a local.
+    Each overlapping pair is pushed apart by _OMEGA * gap along its center
+    line, _OMEGA/2 * gap per center.  Returns (worst, moved, stop).  stop is
+    None after a whole pass, or the pair (i, j) whose push took moved to
+    limit; the pass ends after it.  sqrt and half_omega are default
+    arguments so the hot loop looks them up as locals.
     """
     for i, js in rows:
         xi = xs[i]
@@ -180,7 +204,7 @@ def _sweep(
             gap = 2.0 - dist
             if gap > worst:
                 worst = gap
-            push = 0.5 * gap
+            push = half_omega * gap
             if dist == 0.0:  # coincident: deterministic separation axis (1, 0)
                 px, py = push, 0.0
             else:
@@ -189,7 +213,7 @@ def _sweep(
             yi = yi + py
             xs[j] = xj - px
             ys[j] = yj - py
-            moved += gap
+            moved += push + push
             if moved >= limit:
                 xs[i] = xi
                 ys[i] = yi
@@ -204,8 +228,8 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
 
     Clamps into the wall-offset box, then separates overlapping pairs
     symmetrically along their center line, in fixed (i, j) index order
-    (Gauss-Seidel), repeating until the worst violation is below 1e-9 or
-    the budget is spent.  True is returned only when
+    (Gauss-Seidel, over-relaxed by _OMEGA), repeating until the worst
+    violation is below 1e-9 or the budget is spent.  True is returned only when
     packings.max_violation(pts, width, height) <= _TOL on the final pts, so
     it certifies that the state left in pts is valid for the box; callers
     need not check again.
@@ -213,16 +237,23 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     Once a sweep moves the centres by less than _SKIN/2 in total, the
     following sweeps visit only the pairs of a neighbour list: those closer
     than 2 + _SKIN at that point.  `moved` sums every centre's displacement
-    since then (the clamp's |dx| + |dy|, and `gap` per push, which moves two
-    centres by gap/2 each), so an unlisted pair is still more than
-    2 + _SKIN - moved apart.  While moved < _SKIN/2 its d2 is therefore
-    >= 4 with a margin far above rounding, and the all-pairs loop would
-    have skipped it without touching a float.  When the clamp takes moved
-    to _SKIN/2, the sweep covers all pairs; when a push does so mid-sweep,
-    the rest of that sweep covers every remaining pair in order.  Either
-    way the list is dropped until a sweep is calm again.  Visited pairs see
-    the same float operations in the same order, so pts, the flag and the
-    sweep count equal those of the all-pairs loop bit for bit.
+    since then (the clamp's |dx| + |dy|, and _OMEGA * gap per push, which
+    moves two centres by _OMEGA/2 * gap each), so an unlisted pair is still
+    more than 2 + _SKIN - moved apart.  While moved < _SKIN/2 its d2 is
+    therefore >= 4 with a margin far above rounding, and the all-pairs loop
+    would have skipped it without touching a float.  When the clamp takes
+    moved to _SKIN/2, the sweep covers all pairs; when a push does so
+    mid-sweep, the rest of that sweep covers every remaining pair in order.
+    Either way the list is dropped until a sweep is calm again.  Visited
+    pairs see the same float operations in the same order, so pts, the flag
+    and the sweep count equal those of the all-pairs loop bit for bit.
+
+    The half-skin margin is wide.  Counting only `gap` per push, an
+    undercount by the factor _OMEGA = 1.5, would let the centres travel up
+    to 1.5 * _SKIN/2 = 0.375 < _SKIN before the list is dropped, so
+    unlisted pairs would still stay apart, and the property test against
+    the all-pairs loop cannot tell that count from the true one.  The true
+    count is kept so the bound holds as stated, not by the margin.
     """
     if width < 2.0 - _TOL or height < 2.0 - _TOL:
         return False
@@ -287,17 +318,6 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     pts[:, 0] = xs
     pts[:, 1] = ys
     return max_violation(pts, width, height) <= _TOL
-
-
-def relax(realization: PackingRealization, iters: int = 2000) -> tuple[bool, PackingRealization]:
-    """Separate overlaps and re-box the centers; flag reports success."""
-    pts = np.array(realization.centers, dtype=float).reshape(-1, 2)
-    ok = _relax_core(pts, realization.width, realization.height, iters)
-    return ok, PackingRealization(
-        centers=tuple(map(tuple, pts.tolist())),
-        width=realization.width,
-        height=realization.height,
-    )
 
 
 def compact(params: CompactorParams) -> CompactorRun:

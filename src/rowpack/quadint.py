@@ -106,11 +106,6 @@ def sign(p: int, q: int) -> int:
     return 1 if 3 * q * q > p * p else -1
 
 
-def compare(a: QuadInt, b: QuadInt) -> int:
-    """-1, 0 or +1 as a <, ==, > b.  Total order consistent with the reals."""
-    return (a - b).sign()
-
-
 ZERO = QuadInt(0, 0)
 ONE = QuadInt(1, 0)
 SQRT3 = QuadInt(0, 1)

@@ -162,9 +162,10 @@ def test_render_20000_circles(capsys):
 
 
 def all_pairs_relax(pts, width, height, iters):
-    """Reference relaxation: clamp, then one Gauss-Seidel loop over all pairs
-    in (i, j) order each sweep, with the stall rule and the final certificate
-    of compactor._relax_core."""
+    """Reference relaxation: clamp, then one over-relaxed Gauss-Seidel loop
+    over all pairs in (i, j) order each sweep (each center of a pair moves
+    _OMEGA/2 * gap), with the stall rule and the final certificate of
+    compactor._relax_core."""
     tol = compactor._TOL
     if width < 2.0 - tol or height < 2.0 - tol:
         return False
@@ -199,7 +200,7 @@ def all_pairs_relax(pts, width, height, iters):
                     ux, uy = 1.0, 0.0
                 else:
                     ux, uy = dx / dist, dy / dist
-                push = 0.5 * gap
+                push = 0.5 * compactor._OMEGA * gap
                 xi = xi + ux * push
                 yi = yi + uy * push
                 xs[j] -= ux * push

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rowpack.quadint import ONE, SQRT3, ZERO, QuadInt, compare
+from rowpack.quadint import ONE, SQRT3, ZERO, QuadInt
 
 
 def test_ring_basics():
@@ -35,9 +35,9 @@ def test_sign_n60_contest():
 
 
 def test_compare_and_order():
-    assert compare(QuadInt(32, 16), QuadInt(32, 16)) == 0  # the n=15 tie
-    assert compare(QuadInt(48, 0), QuadInt(32, 16)) == -1  # 48 < 32 + 16*sqrt(3)
-    assert compare(ZERO, ONE) == -1
+    assert (QuadInt(32, 16) - QuadInt(32, 16)).sign() == 0  # the n=15 tie
+    assert (QuadInt(48, 0) - QuadInt(32, 16)).sign() == -1  # 48 < 32 + 16*sqrt(3)
+    assert (ZERO - ONE).sign() == -1
     assert QuadInt(48, 0) < QuadInt(32, 16)
     assert QuadInt(32, 16) <= QuadInt(32, 16)
     assert QuadInt(32, 16) >= QuadInt(48, 0)
@@ -92,8 +92,8 @@ def test_order_properties_random():
     vals = [QuadInt(int(a), int(b)) for a, b in rng.integers(-50, 51, size=(60, 2))]
     for a in vals[:20]:
         for b in vals[:20]:
-            assert compare(a, b) == -compare(b, a)  # antisymmetry
-            assert (compare(a, b) == 0) == (a == b)  # equality iff fields match
+            assert (a - b).sign() == -(b - a).sign()  # antisymmetry
+            assert ((a - b).sign() == 0) == (a == b)  # equality iff fields match
     for a in vals[:12]:
         for b in vals[:12]:
             for c in vals[:12]:
