@@ -10,7 +10,6 @@ from .search import (
     Classification,
     SearchResult,
     best,
-    enumerate_candidates,
     irregular_scan,
     milestones,
     read_results,
@@ -36,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadInt",
     "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
-    "Classification", "SearchResult", "best", "enumerate_candidates",
-    "irregular_scan", "milestones", "read_results", "scan_range", "write_results",
+    "Classification", "SearchResult", "best", "irregular_scan", "milestones",
+    "read_results", "scan_range", "write_results",
     "ImprovementReport", "MoveKind", "applicable_move", "improved_metrics",
     "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",
     "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",

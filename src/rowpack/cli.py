@@ -139,10 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, searches=True):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
-        p.add_argument("--dmax", type=int, default=5, help="max monovacancies (default 5)")
+        if searches:
+            p.add_argument("--dmax", type=int, default=5, help="max monovacancies (default 5)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         return p
 
@@ -170,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_hi", type=int, required=True)
     p.add_argument("--jobs", type=int, default=None)
 
-    p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)")
+    p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)", searches=False)
     p.add_argument("--kmax", type=int, default=3)
 
-    p = add("compact", cmd_compact, "stochastic compactor run(s)")
+    p = add("compact", cmd_compact, "stochastic compactor run(s)", searches=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="single-run seed")
     p.add_argument("--seeds", type=int, default=None, help="best-of seed count")

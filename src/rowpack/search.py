@@ -13,8 +13,7 @@ The kernel walks h, then s, then pattern, then w once per block, and
 scatters each shape to the n it covers in the block, keeping for each n an
 exact cap (the least area seen) and the shapes that reach it.  Areas
 p + q*sqrt(3) are integer pairs (p, q), compared exactly by `quadint.sign`.
-`best(n)` is the block [n, n]; `enumerate_candidates(n)` is the same block
-with no caps and no cuts; `iter_range` and `scan_range` walk blocks of
+`best(n)` is the block [n, n]; `iter_range` and `scan_range` walk blocks of
 BLOCK n.  ClassConfig objects are built for the argmin only.
 
 Pruning is exact.  Every cap starts at 4n, the area of the one-row strip
@@ -112,15 +111,13 @@ def _row_kinds(h: int, square_rows: bool) -> tuple[tuple[RowPattern, bool, int, 
                  for p in patterns)
 
 
-def _sieve(n_lo: int, n_hi: int, d_max: int, capped: bool) -> tuple[list, list, list]:
+def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
     """Exact minimum and tie shapes for every n in [n_lo, n_hi], as (cap_p, cap_q, ties).
 
     Each shape (w, h, pattern, s, holes) is enumerated once and scattered
-    to the n it covers.  Capped, ties[i] lists the shapes holding a member
-    with n_lo + i circles of area cap_p[i] + cap_q[i]*sqrt(3), the class
-    minimum for that n.  Uncapped, nothing is pruned, the caps stay at 4n
-    and ties[i] lists every shape holding a member with n_lo + i circles.
-    Order: square grids by s, w, then cells by h, s, pattern, w.
+    to the n it covers.  ties[i] lists the shapes holding a member with
+    n_lo + i circles of area cap_p[i] + cap_q[i]*sqrt(3), the class minimum
+    for that n.  Order: square grids by s, then cells by h, s, pattern, w.
     """
     size = n_hi - n_lo + 1
     capp = [4 * n for n in range(n_lo, n_hi + 1)]  # the one-row strip (n, 0, FULL, s=1)
@@ -129,31 +126,24 @@ def _sieve(n_lo: int, n_hi: int, d_max: int, capped: bool) -> tuple[list, list, 
 
     # Square grids, canonical (w >= s).  Area 4ws >= 4n, equal only without
     # short rows, so under the first cap 4n only n = ws is kept.
-    s, short = 1, 0
-    while s * s <= n_hi + s - 1:
-        if not capped:
-            short = s - 1
+    s = 1
+    while s * s <= n_hi:
         w = -(-n_lo // s)
         if w < s:
             w = s
-        top = w * s  # n covered: top - short .. top
-        while top - short <= n_hi:
-            lo = top - short if top - short > n_lo else n_lo
-            for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
-                ties[i].append((w, 0, RowPattern.FULL, s, 0))
+        while w * s <= n_hi:
+            ties[w * s - n_lo].append((w, 0, RowPattern.FULL, s, 0))
             w += 1
-            top += s
         s += 1
 
-    if capped:
-        mp, mq, cp, cq = _bounds(n_lo, capp, capq)
+    mp, mq, cp, cq = _bounds(n_lo, capp, capq)
     for h in range(2, n_hi + 1):
         s = 0
         while s <= n_hi - h:
             r = h + s
             # block cell cut: r*M - 2*n_lo*(2 - sqrt(3))*(1 + s) < (h - 1)*H(h, s)
-            if capped and _sign(r * mp - 2 * (1 + s) * (2 * n_lo + h - 1),
-                                r * mq + 2 * n_lo * (1 + s) - (h - 1) * (h - 1)) < 0:
+            if _sign(r * mp - 2 * (1 + s) * (2 * n_lo + h - 1),
+                     r * mq + 2 * n_lo * (1 + s) - (h - 1) * (h - 1)) < 0:
                 break
             hp, hq = 2 + 2 * s, h - 1  # cell height
             first = r if r > n_lo else n_lo  # the class bound h + s <= n
@@ -168,7 +158,7 @@ def _sieve(n_lo: int, n_hi: int, d_max: int, capped: bool) -> tuple[list, list, 
                         break
                     width = 2 * w + 1 if full else 2 * w
                     p, q = width * hp, width * hq
-                    if capped and _sign(p - cp, q - cq) > 0:
+                    if _sign(p - cp, q - cq) > 0:
                         break  # area grows with w
                     # holes need h >= 3, w >= 3 and a free interior site (the
                     # closed form of ClassConfig.hole_capacity, inlined)
@@ -179,14 +169,13 @@ def _sieve(n_lo: int, n_hi: int, d_max: int, capped: bool) -> tuple[list, list, 
                     if lo < first:
                         lo = first
                     for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
-                        if capped:
-                            ci, di = capp[i], capq[i]
-                            if p != ci or q != di:
-                                # area <= C by the w cut, so below any cap equal to C
-                                if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
-                                    continue
-                                capp[i], capq[i], ties[i] = p, q, []
-                                lowered = True
+                        ci, di = capp[i], capq[i]
+                        if p != ci or q != di:
+                            # area <= C by the w cut, so below any cap equal to C
+                            if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
+                                continue
+                            capp[i], capq[i], ties[i] = p, q, []
+                            lowered = True
                         ties[i].append((w, h, pattern, s, holes))
                     w += 1
             if lowered:
@@ -194,7 +183,7 @@ def _sieve(n_lo: int, n_hi: int, d_max: int, capped: bool) -> tuple[list, list, 
             s += 1
         # Cell (h, 0) is dead for every n: stop once the h step is
         # non-negative for every n (convexity, see the module docstring).
-        if s == 0 and capped and _sign(2 - mp, 2 * h - 3 - mq) >= 0:
+        if s == 0 and _sign(2 - mp, 2 * h - 3 - mq) >= 0:
             break
     return capp, capq, ties
 
@@ -229,22 +218,10 @@ def _check_args(n: int, d_max: int) -> None:
         raise ValueError("d_max must be >= 0")
 
 
-def enumerate_candidates(n: int, d_max: int = 5) -> Iterator[ClassConfig]:
-    """Stream every valid class member with n circles and at most d_max holes.
-
-    Complete (no area pruning): square grids, pure hex blocks, hybrids, holed
-    variants.  Bounds: w <= n, h + s <= n.
-    """
-    _check_args(n, d_max)
-    _, _, (shapes,) = _sieve(n, n, d_max, capped=False)
-    for fields in _splits(n, shapes, d_max):
-        yield ClassConfig(*fields)
-
-
 def _block(bounds: tuple[int, int, int]) -> list[SearchResult]:
     """best(n) for every n in the block (n_lo, n_hi, d_max), from one sieve."""
     n_lo, n_hi, d_max = bounds
-    capp, capq, ties = _sieve(n_lo, n_hi, d_max, capped=True)
+    capp, capq, ties = _sieve(n_lo, n_hi, d_max)
     results = []
     for i, shapes in enumerate(ties):
         n = n_lo + i
@@ -328,7 +305,7 @@ class Milestones:
 
     n_hi: int
     even_h_holed: int | None          # holed argmin config with even h and h_minus > 0
-    first_min_d: dict[int, int | None]  # k -> smallest n with min_d == k (k = 2..5)
+    first_min_d: dict[int, int | None]  # k -> smallest n with min_d == k (2..5, each k > 5 seen)
     max_min_d: int
 
     def to_json(self) -> dict:
@@ -355,11 +332,11 @@ def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
             c.d >= 1 and c.h % 2 == 0 and c.h_minus > 0 for c in r.argmin
         ):
             even_h_holed = r.n
-        if r.min_d in first and first[r.min_d] is None:
+        if r.min_d >= 2 and first.get(r.min_d) is None:
             first[r.min_d] = r.n
         max_min_d = max(max_min_d, r.min_d)
     return Milestones(n_hi=n_hi, even_h_holed=even_h_holed,
-                      first_min_d=first, max_min_d=max_min_d)
+                      first_min_d=dict(sorted(first.items())), max_min_d=max_min_d)
 
 
 # results file format -----------------------------------------------------------

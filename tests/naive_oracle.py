@@ -1,10 +1,14 @@
-"""Independent brute-force reference for the class search.
+"""Independent brute-force references for the class search.
 
 Deliberately naive: plain nested loops over row counts, patterns, short-row
 and hole counts, its own copy of the circle-count identity, the legal
 short-row table and the exact width/height formulas, and a from-scratch
 (p, q) integer comparison for p + q*sqrt(3).  Shares nothing with
 rowpack.search except the tuple vocabulary used to compare argmin sets.
+
+`naive_best` loops over every w, d and s_minus (about cubic in n);
+`enumerate_members` lists the whole class for one n, unpruned, solving the
+circle count for w cell by cell, and `enumerated_best` takes its minimum.
 """
 from __future__ import annotations
 
@@ -102,4 +106,54 @@ def naive_best(n: int, d_max: int = 5):
                         if d > 0 and (h < 3 or w < 3 or d > _interior_capacity(w, h, pattern)):
                             continue
                         consider(w, h, pattern, s, s_minus, d)
+    return best_area, argmin
+
+
+def enumerate_members(n: int, d_max: int = 5):
+    """Every class member with n circles and at most d_max holes, unpruned,
+    as (w, h, pattern, s, s_minus, d) tuples.
+
+    A cell (h, s, pattern) holds n = w*(h + s) - h_minus - k circles with
+    k = s_minus + d, 0 <= k <= s + d_max, so only the w with
+    n + h_minus <= w*(h + s) <= n + h_minus + s + d_max are tried.  Square
+    grids are the cells h = 0: wider than tall, at least one full row, no
+    holes.
+    """
+    for s in range(1, n + 1):
+        w = -(-n // s)  # the one w with n <= w*s <= n + s - 1
+        s_minus = w * s - n
+        if w >= s and (s_minus == 0 or w >= 2):
+            yield (w, 0, FULL, s, s_minus, 0)
+
+    max_rows = n + d_max
+    for h in range(2, max_rows + 1):
+        for s in range(0, max_rows - h + 1):
+            r = h + s
+            for pattern in (FULL, SHORT_OFFSET, SHORT_OUTER):
+                if pattern == SHORT_OUTER and (h % 2 == 0 or h < 3 or s > 0):
+                    continue
+                hm = _h_minus(pattern, h)
+                for w in range(-(-(n + hm) // r), (n + hm + s + d_max) // r + 1):
+                    if pattern != FULL and w < 2:
+                        continue
+                    k = w * r - hm - n
+                    # holes need h >= 3, w >= 3 and a free interior site
+                    holes = _interior_capacity(w, h, pattern) if h >= 3 and w >= 3 else 0
+                    for d in range(max(0, k - s), min(k, d_max, holes) + 1):
+                        if k - d > 0 and w < 2:
+                            continue
+                        yield (w, h, pattern, s, k - d, d)
+
+
+def enumerated_best(n: int, d_max: int = 5):
+    """(min_area (p, q), set of argmin tuples) over enumerate_members(n, d_max)."""
+    best_area = None
+    argmin: set[tuple] = set()
+    for member in enumerate_members(n, d_max):
+        area = _area(*member[:4])
+        if best_area is None or _less(area, best_area):
+            best_area = area
+            argmin = set()
+        if area == best_area:
+            argmin.add(member)
     return best_area, argmin

@@ -98,6 +98,14 @@ def test_theory(capsys):
     assert blob["densities"]["hex"] == pytest.approx(0.90689968)
 
 
+def test_dmax_only_on_commands_that_search(capsys):
+    for argv in (["theory"], ["compact", "--n", "2", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--dmax", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dmax" in capsys.readouterr().err
+
+
 def test_aspect_csv(tmp_path, capsys):
     out_path = tmp_path / "aspect.csv"
     code, _, _ = run_cli(capsys, "aspect", "--to", "30", "--jobs", "1", "--out", str(out_path))

@@ -1,15 +1,17 @@
-"""Property tests guarding the exact block sieve in rowpack.search and the
-overlap kernel in rowpack.packings, and the neighbour-list relaxation in
-rowpack.compactor against its all-pairs loop."""
+"""Property tests guarding the exact block sieve in rowpack.search against
+the unpruned enumerator of tests/naive_oracle.py, the overlap kernel in
+rowpack.packings, and the neighbour-list relaxation in rowpack.compactor
+against its all-pairs loop."""
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from naive_oracle import enumerated_best
 from rowpack.cli import main
 from rowpack.packings import ClassConfig, RowPattern, max_violation
 from rowpack import compactor, search
-from rowpack.search import BLOCK, best, enumerate_candidates, result_to_json, scan_range
+from rowpack.search import BLOCK, best, result_to_json, scan_range
 
 FULL = RowPattern.FULL
 SOFF = RowPattern.SHORT_OFFSET
@@ -47,19 +49,6 @@ def test_hole_capacity_closed_form_matches_row_count():
     assert checked == 38 * 38 * 4 * 2 + 38 * 19
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 300))
-def test_best_equals_unpruned_enumeration(n):
-    configs = list(enumerate_candidates(n))
-    areas = [c.area() for c in configs]
-    low = min(areas)
-    r = best(n)
-    assert r.min_area == low
-    assert sorted(r.argmin, key=ClassConfig.sort_key) == list(r.argmin)
-    assert set(r.argmin) == {c for c, a in zip(configs, areas) if a == low}
-    assert len(set(r.argmin)) == len(r.argmin)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 20000))
 def test_argmin_configs_hold_n_circles_in_the_min_area(n):
@@ -95,18 +84,18 @@ def test_range_scan_equals_one_n_blocks(bounds, d_max):
     assert got == [result_to_json(best(n, d_max)) for n in range(n_lo, n_hi + 1)]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=35, deadline=None)
 @given(st.integers(1, 300), st.integers(0, BLOCK - 1), st.integers(0, BLOCK - 1), D_MAX)
 def test_block_min_and_ties_equal_unpruned_enumeration(n, below, above, d_max):
-    # a block holding n at any offset: its pruning is looser than n's own
+    # best(n) is the one-n block, n at offset 0; a block holding n at any
+    # offset prunes more loosely than n's own tests
+    area, argmin = enumerated_best(n, d_max)
     n_lo, n_hi = max(1, n - below), n + min(above, BLOCK - 1 - below)
-    r = scan_range(n_lo, n_hi, d_max=d_max)[n - n_lo]
-    configs = list(enumerate_candidates(n, d_max))
-    areas = [c.area() for c in configs]
-    low = min(areas)
-    assert r.n == n and r.min_area == low
-    assert set(r.argmin) == {c for c, a in zip(configs, areas) if a == low}
-    assert len(set(r.argmin)) == len(r.argmin)
+    for r in (best(n, d_max), scan_range(n_lo, n_hi, d_max=d_max)[n - n_lo]):
+        assert r.n == n and (r.min_area.p, r.min_area.q) == area
+        assert sorted(r.argmin, key=ClassConfig.sort_key) == list(r.argmin)
+        assert {(c.w, c.h, c.pattern.value, c.s, c.s_minus, c.d) for c in r.argmin} == argmin
+        assert len(r.argmin) == len(argmin)
 
 
 def test_adjacent_blocks_equal_one_n_blocks_dmax_9():

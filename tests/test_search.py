@@ -3,12 +3,12 @@ import math
 
 import pytest
 
+from naive_oracle import enumerate_members, enumerated_best
 from rowpack.packings import ClassConfig, RowPattern
 from rowpack.quadint import QuadInt
 from rowpack.search import (
     Classification,
     best,
-    enumerate_candidates,
     irregular_scan,
     milestones,
     read_results,
@@ -27,11 +27,11 @@ def as_tuple(cfg: ClassConfig) -> tuple:
 
 
 def test_enumerate_n1():
-    assert list(enumerate_candidates(1, 5)) == [ClassConfig(1, 0, FULL, s=1)]
+    assert list(enumerate_members(1, 5)) == [(1, 0, "full", 1, 0, 0)]
 
 
 def test_enumerate_n12_members():
-    got = {as_tuple(c) for c in enumerate_candidates(12, 0)}
+    got = list(enumerate_members(12, 0))
     for member in [
         (12, 0, "full", 1, 0, 0),
         (6, 0, "full", 2, 0, 0),
@@ -40,15 +40,16 @@ def test_enumerate_n12_members():
         (4, 3, "full", 0, 0, 0),
     ]:
         assert member in got
-    # everything enumerated must hold 12 circles
-    for cfg in enumerate_candidates(12, 0):
-        assert cfg.n == 12
+    # everything enumerated must be a valid member holding 12 circles, once
+    assert len(set(got)) == len(got)
+    for w, h, pattern, s, s_minus, d in got:
+        assert ClassConfig(w, h, RowPattern(pattern), s, s_minus, d).n == 12
 
 
 def test_enumerate_n49_includes_star_pair():
-    got = {as_tuple(c) for c in enumerate_candidates(49, 5)}
-    assert (17, 3, "short_outer", 0, 0, 0) in got
-    assert (17, 3, "short_offset", 0, 0, 1) in got
+    star_pair = {(17, 3, "short_outer", 0, 0, 0), (17, 3, "short_offset", 0, 0, 1)}
+    assert star_pair <= set(enumerate_members(49, 5))
+    assert star_pair <= {as_tuple(c) for c in best(49).argmin}
 
 
 def test_best_small_anchor_cases():
@@ -86,6 +87,12 @@ def test_oracle_equivalence_to_60(oracle_sweep):
         assert engine_configs == configs, f"n={n}"
 
 
+def test_enumerator_min_and_ties_equal_oracle_to_60(oracle_sweep):
+    rows, _ = oracle_sweep
+    for n, area, configs, _, _ in rows:
+        assert enumerated_best(n, 5) == (area, configs), f"n={n}"
+
+
 def test_irregular_scan_first_values():
     assert irregular_scan(1, 120) == [49, 61, 79, 97, 107]
 
@@ -102,7 +109,15 @@ def test_milestones_shape():
     assert report.even_h_holed == 317
     assert report.first_min_d[2] == 393
     assert report.first_min_d[3] is None
+    assert list(report.first_min_d) == [2, 3, 4, 5]
     assert report.max_min_d == 2
+
+
+def test_milestones_key_for_each_min_d_seen():
+    report = milestones(8600, d_max=9, results=scan_range(8500, 8600, d_max=9))
+    assert report.max_min_d == 6
+    assert report.first_min_d[6] == 8562
+    assert list(report.to_json()["first_min_d"]) == ["2", "3", "4", "5", "6"]
 
 
 def test_milestone_411_argmin():
