@@ -84,18 +84,27 @@ def test_range_scan_equals_one_n_blocks(bounds, d_max):
     assert got == [result_to_json(best(n, d_max)) for n in range(n_lo, n_hi + 1)]
 
 
-@settings(max_examples=35, deadline=None)
+def assert_equals_enumeration(r, n, d_max):
+    area, argmin = enumerated_best(n, d_max)
+    assert r.n == n and (r.min_area.p, r.min_area.q) == area
+    assert sorted(r.argmin, key=ClassConfig.sort_key) == list(r.argmin)
+    assert {(c.w, c.h, c.pattern.value, c.s, c.s_minus, c.d) for c in r.argmin} == argmin
+    assert len(r.argmin) == len(argmin)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), D_MAX)
+def test_best_equals_unpruned_enumeration(n, d_max):
+    # best(n) is the one-n block, n at offset 0
+    assert_equals_enumeration(best(n, d_max), n, d_max)
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(1, 300), st.integers(0, BLOCK - 1), st.integers(0, BLOCK - 1), D_MAX)
 def test_block_min_and_ties_equal_unpruned_enumeration(n, below, above, d_max):
-    # best(n) is the one-n block, n at offset 0; a block holding n at any
-    # offset prunes more loosely than n's own tests
-    area, argmin = enumerated_best(n, d_max)
+    # a block holding n at any offset: its pruning is looser than n's own
     n_lo, n_hi = max(1, n - below), n + min(above, BLOCK - 1 - below)
-    for r in (best(n, d_max), scan_range(n_lo, n_hi, d_max=d_max)[n - n_lo]):
-        assert r.n == n and (r.min_area.p, r.min_area.q) == area
-        assert sorted(r.argmin, key=ClassConfig.sort_key) == list(r.argmin)
-        assert {(c.w, c.h, c.pattern.value, c.s, c.s_minus, c.d) for c in r.argmin} == argmin
-        assert len(r.argmin) == len(argmin)
+    assert_equals_enumeration(scan_range(n_lo, n_hi, d_max=d_max)[n - n_lo], n, d_max)
 
 
 def test_adjacent_blocks_equal_one_n_blocks_dmax_9():
