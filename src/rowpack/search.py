@@ -9,10 +9,11 @@ shape (w, h, s, pattern) has one exact area, width * H(h, s) with
 H(h, s) = (2 + 2s) + (h - 1)*sqrt(3), and covers the contiguous run of n
 from w*(h + s) - h_minus - s - min(d_max, holes) up to w*(h + s) - h_minus
 (the splits into short square rows and holes), limited to n >= h + s.
-The kernel walks h, then s, then pattern, then w once per block, and
-scatters each shape to the n it covers in the block, keeping for each n an
-exact cap (the least area seen) and the shapes that reach it.  Areas
-p + q*sqrt(3) are integer pairs (p, q), compared exactly by `quadint.sign`.
+The kernel walks h outward from h0 (see below), then s, then pattern, then
+w once per block, and scatters each shape to the n it covers in the block,
+keeping for each n an exact cap (the least area seen) and the shapes that
+reach it.  Areas p + q*sqrt(3) are integer pairs (p, q), compared exactly
+by `quadint.sign`.
 `best(n)` is the block [n, n]; `iter_range` and `scan_range` walk blocks of
 BLOCK n.  ClassConfig objects are built for the argmin only.
 
@@ -26,29 +27,48 @@ maximum of m(n), an integer pair.  As m(n) <= M and n >= n_lo, the block
 test r*M - 2*n_lo*(2 - sqrt(3))*(1 + s) < (h - 1)*H(h, s) makes the cell
 dead for every n in the block.  Beyond the spread of m(n), it is looser
 than each n's own test only by 2*(2 - sqrt(3))*(1 + s)*(n - n_lo), at most
-2*(2 - sqrt(3))*(1 + s)*(BLOCK - 1).  M and the block's maximum cap C are
-recomputed after each cell that lowered a cap.  Three cut-offs follow:
+2*(2 - sqrt(3))*(1 + s)*(BLOCK - 1).  M and the block's maximum cap C
+stay exact maxima: `_bounds` recomputes them, with the index of an n
+holding each, only after a cell that lowered the cap at one of those two
+n.  Caps only fall, so any other lowering leaves both maxima where they
+were.  Three cut-offs follow:
 
 * cell: for fixed h and n, the gap (2n + h - 1)*H(h, s) - r*cap(n) is
   linear in s with slope 2*(2n + h - 1) - cap(n) > 0, so once the block
   test kills (h, s) every n is dead for all larger s and the s loop stops;
 * w: the area grows with w, so the w loop stops at the first area above
   C, or once w*(h + s) - h_minus - s - d_max > n_hi, past the block;
-* h: for s = 0 each n's gap is convex in h (positive sqrt(3)*h^2 term),
-  and its step from h - 1 to h is (2 + (2h - 3)*sqrt(3)) - m(n) >= that
-  step at M.  Once the block test kills (h, 0) and
-  2 + (2h - 3)*sqrt(3) - M >= 0, every n's gap stays positive and the h
-  loop stops.
+* h: as H(h, 0) - sqrt(3)*h = 2 - sqrt(3), each n's gap at s = 0 is
+  (h - 1)*H(h, 0) - h*m(n) + 2n*(2 - sqrt(3)), which is at least
+  F(h) = (h - 1)*H(h, 0) - h*M + 2*n_lo*(2 - sqrt(3)); the block test
+  kills (h, 0) exactly when F(h) > 0.  F is convex in h (positive
+  sqrt(3)*h^2 term), with step F(h) - F(h - 1) = 2 + (2h - 3)*sqrt(3) - M.
+  The walk starts at h0 = round(sqrt((4/sqrt(3) - 2)*n_mid)), n_mid the
+  block's middle n: to leading order h0 minimises the cell bound
+  (2n + h - 1)*H(h, 0)/h, so the first cells bring the caps near their
+  final values and most other cells die at once.  The walk goes up from
+  h0 and stops once F(h) > 0 with a step >= 0: F then rises for every
+  larger h.  It then goes down from h0 - 1 to 2 and stops once F(h) > 0
+  with a step <= 0: by convexity F(h') >= F(h) > 0 for every h' < h.  M
+  only falls as the walk goes on, which only raises F.
+  In practice the first h below h0 with F(h) > 0 already has a step
+  <= 0, since F's minimum also sits at h0 to leading order, so no test
+  can tell the downward step guard from a stop at the first dead (h, 0);
+  it stays because the proof needs it.
 
 No tie of a final minimum is lost: each cut drops only members whose area
 is strictly above cap(n), and cap(n) never falls below the final minimum;
 caps lowered later only widen the gaps the cuts relied on.
 
-BLOCK = 64 was measured, not derived.  scan_range(1, 5000) on one vCPU of
-a shared 2-vCPU VM (Python 3.11.7), median of 5 interleaved runs, takes
-0.83 s with one-n blocks (best(n) for each n), 0.34 s at 16, 0.30 s at
-32, 64 and 128, and 0.47 s at 256.  A small block walks the cells again
-for every few n; a large one loosens the cell test and the w cut.
+BLOCK = 32 was measured, not derived.  scan_range(1, 5000) on one vCPU of
+a shared 2-vCPU VM (Python 3.11.7), median of 9 interleaved runs, takes
+0.22 s at 16, 0.20 s at 32, 0.21 s at 64 and 0.24 s at 128 (0.53 s with
+one-n blocks and 0.31 s at 256, median of 5); in 15 alternating runs 32
+beat 64 14 times, medians 0.190 s and 0.198 s.  Uncapped
+(d_max = 10**9) the same four sizes take 0.20, 0.21, 0.26 and 0.39 s on
+1..5000, and 0.88, 0.96, 1.08 and 1.07 s on 5001..20000.  A small block
+walks the cells again for every few n; a large one loosens the cell test
+and the w cut, most of all when many holes let one w cover the block.
 
 Range scans may fan out over processes; results are streamed in n order,
 so parallel and serial runs produce identical output.
@@ -56,6 +76,7 @@ so parallel and serial runs produce identical output.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -97,7 +118,7 @@ class SearchResult:
 
 
 # n per block of a range scan; the module docstring gives the measurement
-BLOCK = 64
+BLOCK = 32
 
 
 @lru_cache(maxsize=4096)
@@ -117,7 +138,8 @@ def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
     Each shape (w, h, pattern, s, holes) is enumerated once and scattered
     to the n it covers.  ties[i] lists the shapes holding a member with
     n_lo + i circles of area cap_p[i] + cap_q[i]*sqrt(3), the class minimum
-    for that n.  Order: square grids by s, then cells by h, s, pattern, w.
+    for that n.  Order: square grids by s, then cells by h (up from h0, then
+    down from h0 - 1), s, pattern, w.
     """
     size = n_hi - n_lo + 1
     capp = [4 * n for n in range(n_lo, n_hi + 1)]  # the one-row strip (n, 0, FULL, s=1)
@@ -136,70 +158,78 @@ def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
             w += 1
         s += 1
 
-    mp, mq, cp, cq = _bounds(n_lo, capp, capq)
-    for h in range(2, n_hi + 1):
-        s = 0
-        while s <= n_hi - h:
-            r = h + s
-            # block cell cut: r*M - 2*n_lo*(2 - sqrt(3))*(1 + s) < (h - 1)*H(h, s)
-            if _sign(r * mp - 2 * (1 + s) * (2 * n_lo + h - 1),
-                     r * mq + 2 * n_lo * (1 + s) - (h - 1) * (h - 1)) < 0:
-                break
-            hp, hq = 2 + 2 * s, h - 1  # cell height
-            first = r if r > n_lo else n_lo  # the class bound h + s <= n
-            lowered = False
-            for pattern, full, h_minus, full_rows in _row_kinds(h, s > 0):
-                w = -(-(n_lo + h_minus) // r)
-                if w < 2 and not full:
-                    w = 2
-                while True:
-                    top = w * r - h_minus  # n with no short square row and no hole
-                    if top - s - d_max > n_hi:
-                        break
-                    width = 2 * w + 1 if full else 2 * w
-                    p, q = width * hp, width * hq
-                    if _sign(p - cp, q - cq) > 0:
-                        break  # area grows with w
-                    # holes need h >= 3, w >= 3 and a free interior site (the
-                    # closed form of ClassConfig.hole_capacity, inlined)
-                    holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
-                    # n = top - s_minus - d over 0 <= s_minus <= s, d <= min(d_max, holes);
-                    # n >= h + s also keeps w = 1 (so r = n) free of short square rows
-                    lo = top - s - (holes if holes < d_max else d_max)
-                    if lo < first:
-                        lo = first
-                    for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
-                        ci, di = capp[i], capq[i]
-                        if p != ci or q != di:
-                            # area <= C by the w cut, so below any cap equal to C
-                            if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
-                                continue
-                            capp[i], capq[i], ties[i] = p, q, []
-                            lowered = True
-                        ties[i].append((w, h, pattern, s, holes))
-                    w += 1
-            if lowered:
-                mp, mq, cp, cq = _bounds(n_lo, capp, capq)
-            s += 1
-        # Cell (h, 0) is dead for every n: stop once the h step is
-        # non-negative for every n (convexity, see the module docstring).
-        if s == 0 and _sign(2 - mp, 2 * h - 3 - mq) >= 0:
-            break
+    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq)
+    # h0 minimises (to leading order) the cell bound (2n + h - 1)*H(h, 0)/h at
+    # the block's middle n; h walks up from h0, then down from h0 - 1
+    h0 = max(2, round(math.sqrt((4 / math.sqrt(3) - 2) * ((n_lo + n_hi) // 2))))
+    for hs, rising in ((range(h0, n_hi + 1), True), (range(h0 - 1, 1, -1), False)):
+        for h in hs:
+            s = 0
+            while s <= n_hi - h:
+                r = h + s
+                # block cell cut: r*M - 2*n_lo*(2 - sqrt(3))*(1 + s) < (h - 1)*H(h, s)
+                if _sign(r * mp - 2 * (1 + s) * (2 * n_lo + h - 1),
+                         r * mq + 2 * n_lo * (1 + s) - (h - 1) * (h - 1)) < 0:
+                    break
+                hp, hq = 2 + 2 * s, h - 1  # cell height
+                first = r if r > n_lo else n_lo  # the class bound h + s <= n
+                for pattern, full, h_minus, full_rows in _row_kinds(h, s > 0):
+                    w = -(-(n_lo + h_minus) // r)
+                    if w < 2 and not full:
+                        w = 2
+                    while True:
+                        top = w * r - h_minus  # n with no short square row and no hole
+                        if top - s - d_max > n_hi:
+                            break
+                        width = 2 * w + 1 if full else 2 * w
+                        p, q = width * hp, width * hq
+                        if _sign(p - cp, q - cq) > 0:
+                            break  # area grows with w
+                        # holes need h >= 3, w >= 3 and a free interior site (the
+                        # closed form of ClassConfig.hole_capacity, inlined)
+                        holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
+                        # n = top - s_minus - d over 0 <= s_minus <= s, d <= min(d_max, holes);
+                        # n >= h + s also keeps w = 1 (so r = n) free of short square rows
+                        lo = top - s - (holes if holes < d_max else d_max)
+                        if lo < first:
+                            lo = first
+                        for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
+                            ci, di = capp[i], capq[i]
+                            if p != ci or q != di:
+                                # area <= C by the w cut, so below any cap equal to C
+                                if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
+                                    continue
+                                capp[i], capq[i], ties[i] = p, q, []
+                            ties[i].append((w, h, pattern, s, holes))
+                        w += 1
+                # M and C move only if the cell lowered the cap at their argmax
+                if (capp[ic] != cp or capq[ic] != cq
+                        or capp[im] != mp or capq[im] != mq + 2 * (n_lo + im)):
+                    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq)
+                s += 1
+            # Cell (h, 0) is dead for every n: stop once F cannot fall further
+            # away from h0 (convexity, see the module docstring).
+            if s == 0:
+                step = _sign(2 - mp, 2 * h - 3 - mq)  # F(h) - F(h - 1)
+                if (step >= 0) if rising else (step <= 0):
+                    break
     return capp, capq, ties
 
 
-def _bounds(n_lo: int, capp: list[int], capq: list[int]) -> tuple[int, int, int, int]:
-    """(M_p, M_q, C_p, C_q): the block maxima M of cap(n) - 2*sqrt(3)*n and C of cap(n)."""
+def _bounds(n_lo: int, capp: list[int], capq: list[int]) -> tuple[int, int, int, int, int, int]:
+    """(M_p, M_q, C_p, C_q, i_M, i_C): the block maxima M of cap(n) - 2*sqrt(3)*n
+    and C of cap(n), and the index of an n holding each."""
     mp, mq = cp, cq = capp[0], capq[0]
     mq -= 2 * n_lo
+    im = ic = 0
     for i in range(1, len(capp)):
         p, q = capp[i], capq[i]
         if _sign(p - cp, q - cq) > 0:
-            cp, cq = p, q
+            cp, cq, ic = p, q, i
         q -= 2 * (n_lo + i)
         if _sign(p - mp, q - mq) > 0:
-            mp, mq = p, q
-    return mp, mq, cp, cq
+            mp, mq, im = p, q, i
+    return mp, mq, cp, cq, im, ic
 
 
 def _splits(n: int, shapes: list[tuple], d_max: int) -> Iterator[tuple]:
@@ -319,15 +349,24 @@ class Milestones:
 
 def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
                results: Iterable[SearchResult] | None = None) -> Milestones:
-    """Monovacancy landmarks for 1..n_hi (reuses a prior scan if given)."""
+    """Monovacancy landmarks for 1..n_hi.
+
+    A prior scan may be passed as `results`; its results with n <= n_hi must
+    be exactly n = 1..n_hi in order, and later ones are skipped.
+    """
     if results is None:
         results = iter_range(1, n_hi, d_max=d_max, jobs=jobs)
     even_h_holed = None
     first: dict[int, int | None] = {2: None, 3: None, 4: None, 5: None}
     max_min_d = 0
+    seen = 0
+    out_of_order = f"milestones: results up to n = {n_hi} must be exactly n = 1..{n_hi} in order"
     for r in results:
         if r.n > n_hi:
             continue
+        seen += 1
+        if r.n != seen:
+            raise ValueError(out_of_order)
         if even_h_holed is None and any(
             c.d >= 1 and c.h % 2 == 0 and c.h_minus > 0 for c in r.argmin
         ):
@@ -335,6 +374,8 @@ def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
         if r.min_d >= 2 and first.get(r.min_d) is None:
             first[r.min_d] = r.n
         max_min_d = max(max_min_d, r.min_d)
+    if seen != n_hi:
+        raise ValueError(out_of_order)
     return Milestones(n_hi=n_hi, even_h_holed=even_h_holed,
                       first_min_d=dict(sorted(first.items())), max_min_d=max_min_d)
 

@@ -114,10 +114,27 @@ def test_milestones_shape():
 
 
 def test_milestones_key_for_each_min_d_seen():
-    report = milestones(8600, d_max=9, results=scan_range(8500, 8600, d_max=9))
+    # a full scan is accepted, and results past n_hi are skipped
+    report = milestones(8600, d_max=9, results=scan_range(1, 8610, d_max=9))
+    assert report.even_h_holed == 317
+    assert report.first_min_d == {2: 393, 3: 717, 4: 2732, 5: 2776, 6: 8562}
     assert report.max_min_d == 6
-    assert report.first_min_d[6] == 8562
     assert list(report.to_json()["first_min_d"]) == ["2", "3", "4", "5", "6"]
+
+
+def test_milestones_reject_a_scan_not_starting_at_1():
+    with pytest.raises(ValueError, match="must be exactly n = 1..8600 in order"):
+        milestones(8600, d_max=9, results=scan_range(8500, 8600, d_max=9))
+    with pytest.raises(ValueError, match="must be exactly n = 1..10 in order"):
+        milestones(10, results=scan_range(1, 9))
+
+
+@pytest.mark.parametrize("d_max", [9, 10**9])
+def test_best_8562_beyond_the_hole_cap(d_max):
+    # d_max = 5 misses it: the class minimum needs six holes
+    r = best(8562, d_max=d_max)
+    assert r.min_area == QuadInt(674, 16850)
+    assert [as_tuple(c) for c in r.argmin] == [(168, 51, "full", 0, 0, 6)]
 
 
 def test_milestone_411_argmin():
