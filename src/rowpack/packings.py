@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -73,13 +74,22 @@ def max_violation(pts: np.ndarray, width: float, height: float) -> float:
     x window [x, x + 2]; each center is compared with its next span - 1
     successors, in O(n * span) work and O(n) memory.  The depth is
     2 - sqrt(min d^2), the same float a full pairwise minimum gives.
+    A non-finite center coordinate, width or height gives math.inf: NaN
+    compares false and would otherwise drop out of every max.  The sort
+    puts NaN last and min/max propagate it, so the four extremes below
+    are finite only if every coordinate is.
     """
+    if not (math.isfinite(width) and math.isfinite(height)):
+        return math.inf
     n = len(pts)
     if n == 0:
         return 0.0
     pts = pts[np.argsort(pts[:, 0], kind="stable")]
     x, y = pts[:, 0], pts[:, 1]
-    worst = max(0.0, 1.0 - x[0], x[-1] - (width - 1.0), 1.0 - y.min(), y.max() - (height - 1.0))
+    x_lo, x_hi, y_lo, y_hi = x[0], x[-1], y.min(), y.max()
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
+        return math.inf
+    worst = max(0.0, 1.0 - x_lo, x_hi - (width - 1.0), 1.0 - y_lo, y_hi - (height - 1.0))
     span = (np.searchsorted(x, x + 2.0, "right") - np.arange(n)).max()
     d2 = math.inf
     for k in range(1, span):
@@ -100,7 +110,8 @@ class PackingRealization:
 
     def max_violation(self) -> float:
         """Largest constraint violation: wall overshoot or pair overlap depth."""
-        pts = np.array(self.centers, dtype=float).reshape(-1, 2)
+        n = len(self.centers)
+        pts = np.fromiter(chain.from_iterable(self.centers), float, 2 * n).reshape(n, 2)
         return max_violation(pts, self.width, self.height)
 
     def is_valid(self, tol: float = 1e-12) -> bool:

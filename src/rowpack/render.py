@@ -3,6 +3,17 @@
 Output is byte-stable: all coordinates are printed with exactly six decimal
 places and elements are emitted in a fixed order, so identical inputs yield
 identical documents (goldens stay valid).
+
+`to_svg` formats each distinct center x once and each distinct center y
+once.  A row-structured packing has about 2w distinct x values and h + s
+distinct y values, so per-circle float formatting, the bulk of the render
+time, becomes two dict lookups and one concatenation.  The memo cannot
+change a byte: equal floats format equally, except 0.0 and -0.0, which are
+equal dict keys, and NaN, which never matches a key.  Neither reaches the
+memo, because `to_svg` first validates the realization: every center is
+finite (the overlap kernel reports a non-finite coordinate or box as an
+infinite violation) and at least 1 - 1e-9 radii from each wall, so x*k and
+(height - y)*k are positive.
 """
 from __future__ import annotations
 
@@ -47,12 +58,19 @@ def to_svg(realization: PackingRealization, opts: RenderOptions = RenderOptions(
         f'<rect x="0" y="0" width="{_f(w_px)}" height="{_f(h_px)}" '
         f'fill="none" stroke="black" stroke-width="{sw}"/>',
     ]
+    # '<circle cx="X" cy="' per distinct x, 'Y" r=... />' per distinct y
+    tail = f'" r="{_f(k)}" fill="none" stroke="black" stroke-width="{sw}"/>'
+    height = realization.height
+    heads: dict[float, str] = {}
+    tails: dict[float, str] = {}
     for x, y in realization.centers:
-        cy = (realization.height - y) * k  # SVG y axis points down
-        lines.append(
-            f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(k)}" '
-            f'fill="none" stroke="black" stroke-width="{sw}"/>'
-        )
+        head = heads.get(x)
+        if head is None:
+            head = heads[x] = f'<circle cx="{_f(x * k)}" cy="'
+        cy = tails.get(y)
+        if cy is None:
+            cy = tails[y] = _f((height - y) * k) + tail  # SVG y axis points down
+        lines.append(head + cy)
     if opts.show_holes:
         for x, y in realization.holes:
             cy = (realization.height - y) * k

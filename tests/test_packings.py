@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rowpack import compactor
 from rowpack.packings import ClassConfig, PackingRealization, RowPattern, hybrid_pair
 from rowpack.quadint import QuadInt
+from rowpack.render import to_svg
 
 SOFF = RowPattern.SHORT_OFFSET
 SOUT = RowPattern.SHORT_OUTER
@@ -210,3 +213,40 @@ def test_realization_json_is_in_unit_radii():
         PackingRealization.from_json(
             {"width": 4.0, "height": 2.0, "radius": 2.0, "centers": [[1, 1], [3, 1]]}
         )
+
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = [
+    PackingRealization(centers=((NAN, NAN),), width=4.0, height=4.0),
+    PackingRealization(centers=((1.0, 1.0), (3.0, NAN)), width=4.0, height=2.0),
+    PackingRealization(centers=((1.0, 1.0), (INF, 1.0)), width=4.0, height=2.0),
+    PackingRealization(centers=((-INF, 1.0), (3.0, 1.0)), width=4.0, height=2.0),
+    PackingRealization(centers=((1.0, 1.0), (3.0, INF)), width=4.0, height=2.0),
+    PackingRealization(centers=((1.0, 1.0), (3.0, 1.0)), width=INF, height=2.0),
+    PackingRealization(centers=((1.0, 1.0), (3.0, 1.0)), width=4.0, height=NAN),
+    PackingRealization(centers=(), width=NAN, height=2.0),
+    PackingRealization.from_json(
+        json.loads('{"width": 4.0, "height": 2.0, "centers": [[1.0, 1.0], [NaN, 1.0]]}')
+    ),
+]
+
+
+@pytest.mark.parametrize("real", NON_FINITE)
+def test_non_finite_packing_is_invalid(real):
+    assert real.max_violation() == math.inf
+    assert not real.is_valid(1e-9)
+
+
+@pytest.mark.parametrize("real", NON_FINITE)
+def test_non_finite_packing_is_not_rendered(real):
+    with pytest.raises(ValueError, match="invalid"):
+        to_svg(real)
+
+
+@pytest.mark.parametrize("real", NON_FINITE)
+def test_non_finite_packing_fails_the_compactor_check(real):
+    pts = np.array(real.centers, dtype=float).reshape(-1, 2)
+    assert not compactor.max_violation(pts, real.width, real.height) <= compactor._TOL
+    # the clamp pulls an infinite centre into a finite box; NaN stays NaN
+    ok = compactor._relax_core(pts, real.width, real.height, 100)
+    assert ok == (math.isfinite(real.width * real.height) and bool(np.isfinite(pts).all()))

@@ -1,16 +1,18 @@
 """Property tests guarding the exact block sieve in rowpack.search against
 the unpruned enumerator of tests/naive_oracle.py, the overlap kernel in
-rowpack.packings, and the neighbour-list relaxation in rowpack.compactor
-against its all-pairs loop."""
+rowpack.packings, the neighbour-list relaxation in rowpack.compactor
+against its all-pairs loop, and the memoised SVG renderer against a
+per-circle one."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from naive_oracle import enumerated_best
 from rowpack.cli import main
-from rowpack.packings import ClassConfig, RowPattern, max_violation
+from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_violation
 from rowpack import compactor, search
+from rowpack.render import RenderOptions, to_svg
 from rowpack.search import BLOCK, best, result_to_json, scan_range
 
 FULL = RowPattern.FULL
@@ -260,3 +262,120 @@ def test_relax_neighbour_list_equals_all_pairs(case):
         ref, width, height, iters
     )
     assert pts.tobytes() == ref.tobytes()
+
+
+def per_circle_svg(realization, opts):
+    """Reference renderer: every coordinate of every circle formatted anew."""
+    def f(value):
+        return "{:.6f}".format(value)
+
+    k = opts.scale
+    w_px = realization.width * k
+    h_px = realization.height * k
+    sw = f(opts.stroke_width)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(w_px)}" height="{f(h_px)}" '
+        f'viewBox="0 0 {f(w_px)} {f(h_px)}">',
+        f'<rect x="0" y="0" width="{f(w_px)}" height="{f(h_px)}" '
+        f'fill="none" stroke="black" stroke-width="{sw}"/>',
+    ]
+    for x, y in realization.centers:
+        cy = (realization.height - y) * k
+        lines.append(
+            f'<circle cx="{f(x * k)}" cy="{f(cy)}" r="{f(k)}" '
+            f'fill="none" stroke="black" stroke-width="{sw}"/>'
+        )
+    if opts.show_holes:
+        for x, y in realization.holes:
+            cy = (realization.height - y) * k
+            lines.append(
+                f'<circle cx="{f(x * k)}" cy="{f(cy)}" r="{f(k)}" '
+                f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
+            )
+            lines.append(
+                f'<text x="{f(x * k)}" y="{f(cy + 0.25 * k)}" text-anchor="middle" '
+                f'font-size="{f(0.8 * k)}">?</text>'
+            )
+    if opts.show_labels:
+        label = (
+            f"{len(realization.centers)} circles in "
+            f"{f(realization.width)} x {f(realization.height)}"
+        )
+        lines.append(
+            f'<text x="{f(0.2 * k)}" y="{f(0.7 * k)}" font-size="{f(0.6 * k)}">{label}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def class_configs(draw):
+    """Members of the class: single rows and square grids, hex blocks of every
+    pattern, square rows on top (hybrids), short square rows and holes."""
+    pattern = draw(st.sampled_from(list(RowPattern)))
+    if pattern is SOUT:
+        h, s = draw(st.sampled_from([3, 5, 7, 9])), 0
+    else:
+        if pattern is FULL:
+            h = draw(st.sampled_from([0, 0, 2, 3, 4, 5, 8, 11]))
+        else:
+            h = draw(st.integers(2, 11))
+        s = draw(st.integers(1 if h == 0 else 0, 4))
+    w = draw(st.integers(1 if pattern is FULL else 2, 30))
+    s_minus = draw(st.integers(0, s - 1 if h == 0 else s)) if w >= 2 else 0
+    cfg = ClassConfig(w, h, pattern, s=s, s_minus=s_minus)
+    d = draw(st.integers(0, min(cfg.hole_capacity(), 6)))
+    return ClassConfig(w, h, pattern, s=s, s_minus=s_minus, d=d)
+
+
+@st.composite
+def scattered_realizations(draw):
+    """Rows at least 2 apart, each with centers at least 2 apart taken from
+    one pool of x values, so x values repeat across rows, exactly or within
+    3e-7 as in compactor output; transposed half the time so y values repeat
+    too.  Plus a few holes."""
+    def axis():
+        values = [draw(st.floats(1.0, 3.0))]
+        for gap in draw(st.lists(st.floats(2.0, 4.0), max_size=12)):
+            values.append(values[-1] + gap)
+        return values
+
+    pool, ys = axis(), axis()
+    jitter = st.sampled_from([0.0, 0.0, 0.0, 3e-7, -3e-7, 1e-12])
+    centers = []
+    for y in ys:
+        row = sorted(x + draw(jitter) for x in draw(st.sets(st.sampled_from(pool), max_size=8)))
+        last = -math.inf
+        for x in row:
+            if x >= 1.0 and x - last >= 2.0:
+                centers.append((x, y))
+                last = x
+    assume(centers)
+    centers = draw(st.permutations(centers))
+    width = max(x for x, _ in centers) + 1.0 + draw(st.floats(0.0, 2.0))
+    height = ys[-1] + 1.0 + draw(st.floats(0.0, 2.0))
+    holes = draw(st.lists(st.sampled_from(centers), max_size=3))
+    if draw(st.booleans()):
+        centers = [(y, x) for x, y in centers]
+        holes = [(y, x) for x, y in holes]
+        width, height = height, width
+    return PackingRealization(tuple(centers), width, height, tuple(holes))
+
+
+render_options = st.builds(
+    RenderOptions,
+    scale=st.floats(0.01, 500.0),
+    stroke_width=st.floats(0.0, 10.0),
+    show_holes=st.booleans(),
+    show_labels=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(class_configs().map(ClassConfig.coordinates), scattered_realizations()),
+    render_options,
+)
+def test_svg_equals_per_circle_renderer(realization, opts):
+    assert to_svg(realization, opts) == per_circle_svg(realization, opts)

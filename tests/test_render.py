@@ -98,3 +98,20 @@ def test_scatter_includes_best_49_once():
 def test_svg_golden_bytes(cfg, digest):
     """The SVG of a holed, a full-row and a hybrid packing stays byte for byte the same."""
     assert hashlib.sha256(to_svg(cfg.coordinates()).encode()).hexdigest() == digest
+
+
+def test_svg_golden_bytes_large():
+    """A render-workload tail size: 2857 circles in 29 rows of 99 and 98."""
+    (cfg,) = best(2857).argmin
+    assert cfg == ClassConfig(99, 29, SOFF)
+    digest = hashlib.sha256(to_svg(cfg.coordinates()).encode()).hexdigest()
+    assert digest == "b73e1e0da483e22715a627355e106d7f8a8953321c1b4037860601c512dd0804"
+
+
+def test_svg_golden_bytes_custom_options():
+    svg = to_svg(
+        ClassConfig(17, 3, SOFF, d=1).coordinates(),
+        RenderOptions(scale=7.3, show_labels=True, show_holes=False),
+    )
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == "dade9033a8712e57752e24852358de275024e58953237a436b00f9f8d4d616b2"
