@@ -47,17 +47,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    result = search.best(args.n, d_max=args.dmax)
+    result = search.best(args.n)
     _emit(json.dumps(search.result_to_json(result), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_range(args: argparse.Namespace) -> int:
-    results = search.iter_range(args.n_lo, args.n_hi, d_max=args.dmax, jobs=args.jobs)
+    results = search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs)
     counts = {"regular": 0, "may_hole": 0, "must_hole": 0}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         for r in results:  # each line is written as its block arrives
-            out.write(json.dumps(search.result_to_json(r), separators=(",", ":")) + "\n")
+            out.write(search.result_to_line(r))
             counts[r.classification.value] += 1
     summary = {"from": args.n_lo, "to": args.n_hi, "counts": counts,
                "irregular": counts["may_hole"] + counts["must_hole"]}
@@ -66,25 +66,25 @@ def cmd_range(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    report = tables.reproduce(args.which, d_max=args.dmax)
+    report = tables.reproduce(args.which)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return 0 if report.ok else 1
 
 
 def cmd_irregular(args: argparse.Namespace) -> int:
-    values = search.irregular_scan(args.n_lo, args.n_hi, d_max=args.dmax, jobs=args.jobs)
+    values = search.irregular_scan(args.n_lo, args.n_hi, jobs=args.jobs)
     _emit("".join(f"{v}\n" for v in values), args.out)
     return 0
 
 
 def cmd_milestones(args: argparse.Namespace) -> int:
-    report = search.milestones(args.n_hi, d_max=args.dmax, jobs=args.jobs)
+    report = search.milestones(args.n_hi, jobs=args.jobs)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_aspect(args: argparse.Namespace) -> int:
-    results = search.scan_range(1, args.n_hi, d_max=args.dmax, jobs=args.jobs)
+    results = search.scan_range(1, args.n_hi, jobs=args.jobs)
     _emit(render.aspect_scatter_csv(results), args.out)
     return 0
 
@@ -123,7 +123,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    result = search.best(args.n, d_max=args.dmax)
+    result = search.best(args.n)
     if not (0 <= args.variant < len(result.argmin)):
         print(f"variant must be in 0..{len(result.argmin) - 1}", file=sys.stderr)
         return 2
@@ -139,11 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, searches=True):
+    def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
-        if searches:
-            p.add_argument("--dmax", type=int, default=5, help="max monovacancies (default 5)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         return p
 
@@ -171,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_hi", type=int, required=True)
     p.add_argument("--jobs", type=int, default=None)
 
-    p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)", searches=False)
+    p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)")
     p.add_argument("--kmax", type=int, default=3)
 
-    p = add("compact", cmd_compact, "stochastic compactor run(s)", searches=False)
+    p = add("compact", cmd_compact, "stochastic compactor run(s)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="single-run seed")
     p.add_argument("--seeds", type=int, default=None, help="best-of seed count")

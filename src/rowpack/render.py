@@ -18,7 +18,7 @@ infinite violation) and at least 1 - 1e-9 radii from each wall, so x*k and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable
 
 from .packings import PackingRealization
@@ -35,8 +35,10 @@ class RenderOptions:
     show_labels: bool = False  # caption "<n> circles in <width> x <height>" at top left
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
+        if not (isfinite(self.stroke_width) and self.stroke_width >= 0):
+            raise ValueError(f"stroke_width must be finite and >= 0, got {self.stroke_width!r}")
 
 
 def _f(value: float) -> str:

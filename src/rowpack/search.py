@@ -7,8 +7,8 @@ and classifies n by whether the optimum may or must contain monovacancies.
 One kernel, `_sieve`, handles a block of consecutive n, n_lo..n_hi.  A
 shape (w, h, s, pattern) has one exact area, width * H(h, s) with
 H(h, s) = (2 + 2s) + (h - 1)*sqrt(3), and covers the contiguous run of n
-from w*(h + s) - h_minus - s - min(d_max, holes) up to w*(h + s) - h_minus
-(the splits into short square rows and holes), limited to n >= h + s.
+from top - s - holes up to top = w*(h + s) - h_minus (the splits into
+short square rows and holes, any number of each), limited to n >= h + s.
 The kernel walks h outward from h0 (see below), then s, then pattern, then
 w once per block, and scatters each shape to the n it covers in the block,
 keeping for each n an exact cap (the least area seen) and the shapes that
@@ -37,7 +37,11 @@ were.  Three cut-offs follow:
   linear in s with slope 2*(2n + h - 1) - cap(n) > 0, so once the block
   test kills (h, s) every n is dead for all larger s and the s loop stops;
 * w: the area grows with w, so the w loop stops at the first area above
-  C, or once w*(h + s) - h_minus - s - d_max > n_hi, past the block;
+  C.  Width w - 1 holds every n <= top - r that w holds (r = h + s), at a
+  smaller area, as holes(w) - holes(w - 1) <= h - 2 < r for w >= 3 (no
+  holes below).  So w keeps only n > top - r: its run starts at
+  max(top - s - holes, top - r + 1), which grows with w, and the loop
+  stops once that start passes n_hi.  No hole cap is needed;
 * h: as H(h, 0) - sqrt(3)*h = 2 - sqrt(3), each n's gap at s = 0 is
   (h - 1)*H(h, 0) - h*m(n) + 2n*(2 - sqrt(3)), which is at least
   F(h) = (h - 1)*H(h, 0) - h*M + 2*n_lo*(2 - sqrt(3)); the block test
@@ -60,15 +64,17 @@ No tie of a final minimum is lost: each cut drops only members whose area
 is strictly above cap(n), and cap(n) never falls below the final minimum;
 caps lowered later only widen the gaps the cuts relied on.
 
-BLOCK = 32 was measured, not derived.  scan_range(1, 5000) on one vCPU of
-a shared 2-vCPU VM (Python 3.11.7), median of 9 interleaved runs, takes
-0.22 s at 16, 0.20 s at 32, 0.21 s at 64 and 0.24 s at 128 (0.53 s with
-one-n blocks and 0.31 s at 256, median of 5); in 15 alternating runs 32
-beat 64 14 times, medians 0.190 s and 0.198 s.  Uncapped
-(d_max = 10**9) the same four sizes take 0.20, 0.21, 0.26 and 0.39 s on
-1..5000, and 0.88, 0.96, 1.08 and 1.07 s on 5001..20000.  A small block
-walks the cells again for every few n; a large one loosens the cell test
-and the w cut, most of all when many holes let one w cover the block.
+Square grids (w x s, w >= s) join the ties after the walk.  Their area
+4ws is at least 4n, the first cap, with equality only at n = ws; every
+hex member has q > 0, so grids tie exactly the caps with q = 0, which no
+hex member lowered.
+
+BLOCK = 32 was measured, not derived.  On one vCPU of a shared 2-vCPU VM
+(Python 3.11.7), median of 9 interleaved runs, scan_range(1, 5000) takes
+0.20, 0.21, 0.23 and 0.28 s at 16, 32, 64 and 128, and 5001..20000 takes
+0.66, 0.66, 0.74 and 0.91 s.  In alternating runs 16 beat 32 in 17 of 21
+on 1..5000 but lost 9 of 15 on 5001..20000.  A small block walks the cells
+again for every few n; a large one loosens the cell test and the w cut.
 
 Range scans may fan out over processes; results are streamed in n order,
 so parallel and serial runs produce identical output.
@@ -132,31 +138,19 @@ def _row_kinds(h: int, square_rows: bool) -> tuple[tuple[RowPattern, bool, int, 
                  for p in patterns)
 
 
-def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
+def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
     """Exact minimum and tie shapes for every n in [n_lo, n_hi], as (cap_p, cap_q, ties).
 
     Each shape (w, h, pattern, s, holes) is enumerated once and scattered
     to the n it covers.  ties[i] lists the shapes holding a member with
     n_lo + i circles of area cap_p[i] + cap_q[i]*sqrt(3), the class minimum
-    for that n.  Order: square grids by s, then cells by h (up from h0, then
-    down from h0 - 1), s, pattern, w.
+    for that n.  Order: cells by h (up from h0, then down from h0 - 1), s,
+    pattern, w, then square grids by s.
     """
     size = n_hi - n_lo + 1
     capp = [4 * n for n in range(n_lo, n_hi + 1)]  # the one-row strip (n, 0, FULL, s=1)
     capq = [0] * size
     ties: list[list[tuple]] = [[] for _ in range(size)]
-
-    # Square grids, canonical (w >= s).  Area 4ws >= 4n, equal only without
-    # short rows, so under the first cap 4n only n = ws is kept.
-    s = 1
-    while s * s <= n_hi:
-        w = -(-n_lo // s)
-        if w < s:
-            w = s
-        while w * s <= n_hi:
-            ties[w * s - n_lo].append((w, 0, RowPattern.FULL, s, 0))
-            w += 1
-        s += 1
 
     mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq)
     # h0 minimises (to leading order) the cell bound (2n + h - 1)*H(h, 0)/h at
@@ -179,18 +173,21 @@ def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
                         w = 2
                     while True:
                         top = w * r - h_minus  # n with no short square row and no hole
-                        if top - s - d_max > n_hi:
-                            break
+                        # holes need h >= 3, w >= 3 and a free interior site (the
+                        # closed form of ClassConfig.hole_capacity, inlined)
+                        holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
+                        # n = top - s_minus - d over 0 <= s_minus <= s, d <= holes; width
+                        # w - 1 holds every n <= top - r at a smaller area (dominance);
+                        # n >= h + s also keeps w = 1 (so r = n) free of short square rows
+                        lo = top - s - holes
+                        if lo <= top - r:
+                            lo = top - r + 1
+                        if lo > n_hi:
+                            break  # lo grows with w
                         width = 2 * w + 1 if full else 2 * w
                         p, q = width * hp, width * hq
                         if _sign(p - cp, q - cq) > 0:
                             break  # area grows with w
-                        # holes need h >= 3, w >= 3 and a free interior site (the
-                        # closed form of ClassConfig.hole_capacity, inlined)
-                        holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
-                        # n = top - s_minus - d over 0 <= s_minus <= s, d <= min(d_max, holes);
-                        # n >= h + s also keeps w = 1 (so r = n) free of short square rows
-                        lo = top - s - (holes if holes < d_max else d_max)
                         if lo < first:
                             lo = first
                         for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
@@ -213,6 +210,14 @@ def _sieve(n_lo: int, n_hi: int, d_max: int) -> tuple[list, list, list]:
                 step = _sign(2 - mp, 2 * h - 3 - mq)  # F(h) - F(h - 1)
                 if (step >= 0) if rising else (step <= 0):
                     break
+
+    # Square grids w x s (w >= s) have area 4ws >= 4n: they tie only the caps
+    # 4n that no hex member (q > 0) lowered, at n = ws
+    for i in range(size):
+        if capq[i] == 0:
+            n = n_lo + i
+            ties[i] += [(n // s, 0, RowPattern.FULL, s, 0)
+                        for s in range(1, math.isqrt(n) + 1) if n % s == 0]
     return capp, capq, ties
 
 
@@ -232,30 +237,23 @@ def _bounds(n_lo: int, capp: list[int], capq: list[int]) -> tuple[int, int, int,
     return mp, mq, cp, cq, im, ic
 
 
-def _splits(n: int, shapes: list[tuple], d_max: int) -> Iterator[tuple]:
+def _splits(n: int, shapes: list[tuple]) -> Iterator[tuple]:
     """The ClassConfig fields (w, h, pattern, s, s_minus, d) of every member
     with n circles in each shape, d ascending."""
     for w, h, pattern, s, holes in shapes:
         k = w * (h + s) - pattern.h_minus(h) - n  # s_minus + d
-        for d in range(max(0, k - s), min(d_max, k, holes) + 1):
+        for d in range(max(0, k - s), min(k, holes) + 1):
             yield w, h, pattern, s, k - d, d
 
 
-def _check_args(n: int, d_max: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-
-
-def _block(bounds: tuple[int, int, int]) -> list[SearchResult]:
-    """best(n) for every n in the block (n_lo, n_hi, d_max), from one sieve."""
-    n_lo, n_hi, d_max = bounds
-    capp, capq, ties = _sieve(n_lo, n_hi, d_max)
+def _block(bounds: tuple[int, int]) -> list[SearchResult]:
+    """best(n) for every n in the block (n_lo, n_hi), from one sieve."""
+    n_lo, n_hi = bounds
+    capp, capq, ties = _sieve(n_lo, n_hi)
     results = []
     for i, shapes in enumerate(ties):
         n = n_lo + i
-        ordered = tuple(sorted((ClassConfig(*f) for f in _splits(n, shapes, d_max)),
+        ordered = tuple(sorted((ClassConfig(*f) for f in _splits(n, shapes)),
                                key=ClassConfig.sort_key))
         ds = [c.d for c in ordered]
         if all(d == 0 for d in ds):
@@ -270,31 +268,29 @@ def _block(bounds: tuple[int, int, int]) -> list[SearchResult]:
             argmin=ordered,
             classification=cls,
             min_d=min(ds),
-            shape_count=len({(c.width_units, c.height()) for c in ordered}),
+            # (h, s) fixes the height
+            shape_count=len({(c.width_units, c.h, c.s) for c in ordered}),
         ))
     return results
 
 
-def best(n: int, d_max: int = 5) -> SearchResult:
+def best(n: int) -> SearchResult:
     """Exact minimum area and the full argmin set for n circles."""
-    _check_args(n, d_max)
-    return _block((n, n, d_max))[0]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _block((n, n))[0]
 
 
-def irregular_scan(
-    n_lo: int, n_hi: int, d_max: int = 5, jobs: int = 1
-) -> list[int]:
+def irregular_scan(n_lo: int, n_hi: int, jobs: int = 1) -> list[int]:
     """All n in [n_lo, n_hi] whose class optimum may or must have holes."""
     return [
         r.n
-        for r in iter_range(n_lo, n_hi, d_max=d_max, jobs=jobs)
+        for r in iter_range(n_lo, n_hi, jobs=jobs)
         if r.classification is not Classification.REGULAR
     ]
 
 
-def iter_range(
-    n_lo: int, n_hi: int, d_max: int = 5, jobs: int = 1
-) -> Iterator[SearchResult]:
+def iter_range(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[SearchResult]:
     """best(n) for every n in [n_lo, n_hi], streamed in ascending n order.
 
     The range is cut into blocks of BLOCK n.  With jobs > 1 (capped at the
@@ -304,15 +300,14 @@ def iter_range(
     """
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
-    _check_args(n_lo, d_max)
     span = n_hi - n_lo + 1
     jobs = min(jobs, os.cpu_count() or 1, span)
     size = BLOCK if jobs <= 1 else min(BLOCK, -(-span // jobs))
-    blocks = [(a, min(a + size - 1, n_hi), d_max) for a in range(n_lo, n_hi + 1, size)]
+    blocks = [(a, min(a + size - 1, n_hi)) for a in range(n_lo, n_hi + 1, size)]
     return _stream(blocks, jobs)
 
 
-def _stream(blocks: list[tuple[int, int, int]], jobs: int) -> Iterator[SearchResult]:
+def _stream(blocks: list[tuple[int, int]], jobs: int) -> Iterator[SearchResult]:
     if jobs <= 1:
         for block in blocks:
             yield from _block(block)
@@ -322,11 +317,9 @@ def _stream(blocks: list[tuple[int, int, int]], jobs: int) -> Iterator[SearchRes
             yield from results
 
 
-def scan_range(
-    n_lo: int, n_hi: int, d_max: int = 5, jobs: int = 1
-) -> list[SearchResult]:
+def scan_range(n_lo: int, n_hi: int, jobs: int = 1) -> list[SearchResult]:
     """best(n) for every n in [n_lo, n_hi], in ascending n order."""
-    return list(iter_range(n_lo, n_hi, d_max=d_max, jobs=jobs))
+    return list(iter_range(n_lo, n_hi, jobs=jobs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,7 +340,7 @@ class Milestones:
         }
 
 
-def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
+def milestones(n_hi: int, jobs: int = 1,
                results: Iterable[SearchResult] | None = None) -> Milestones:
     """Monovacancy landmarks for 1..n_hi.
 
@@ -355,7 +348,7 @@ def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
     be exactly n = 1..n_hi in order, and later ones are skipped.
     """
     if results is None:
-        results = iter_range(1, n_hi, d_max=d_max, jobs=jobs)
+        results = iter_range(1, n_hi, jobs=jobs)
     even_h_holed = None
     first: dict[int, int | None] = {2: None, 3: None, 4: None, 5: None}
     max_min_d = 0
@@ -385,11 +378,12 @@ def milestones(n_hi: int, d_max: int = 5, jobs: int = 1,
 
 def result_to_json(result: SearchResult) -> dict:
     rep = result.argmin[0]
+    height = rep.height()
     line = {
         "n": result.n,
         "area": result.min_area.to_json(),
         "width": rep.width_units,
-        "height": {"p": rep.height().p, "q": rep.height().q},
+        "height": {"p": height.p, "q": height.q},
         "density": rep.density(),
         "aspect": rep.aspect_ratio(),
         "class": result.classification.value,
@@ -423,12 +417,16 @@ def result_from_json(obj: dict) -> SearchResult:
     )
 
 
+def result_to_line(result: SearchResult) -> str:
+    """One line of a results file: compact JSON, newline-terminated."""
+    return json.dumps(result_to_json(result), separators=(",", ":")) + "\n"
+
+
 def write_results(results: Iterable[SearchResult], path) -> None:
     """Line-delimited JSON, one SearchResult per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
-            fh.write(json.dumps(result_to_json(result), separators=(",", ":")))
-            fh.write("\n")
+            fh.write(result_to_line(result))
 
 
 def read_results(path) -> list[SearchResult]:

@@ -232,7 +232,7 @@ def _argmin_has(result: search.SearchResult, w: int, h: int, h_minus: int,
     return False
 
 
-def reproduce(which: int, d_max: int = 5) -> TableReport:
+def reproduce(which: int) -> TableReport:
     """Diff the engine's argmin sets against the published table."""
     if which == 1:
         items = sorted(TABLE1)
@@ -245,7 +245,7 @@ def reproduce(which: int, d_max: int = 5) -> TableReport:
 
     checks: list[RowCheck] = []
     for n in items:
-        result = search.best(n, d_max=d_max)
+        result = search.best(n)
         star_ok = result.classification is _STAR_CLASS[stars.get(n, 0)]
         err = errata.get(n)
         if which == 1:

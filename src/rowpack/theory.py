@@ -121,7 +121,7 @@ class ConvergentCheck:
         return self.regular and self.contains_block
 
 
-def verify_convergent_regularity(k: int, d_max: int = 5) -> ConvergentCheck:
+def verify_convergent_regularity(k: int) -> ConvergentCheck:
     """Check whether best(N_k) is Regular with the full a_k x b_k hex block.
 
     Returns the verdict (`ConvergentCheck.ok`) rather than raising on a
@@ -132,7 +132,7 @@ def verify_convergent_regularity(k: int, d_max: int = 5) -> ConvergentCheck:
     if k < 2:
         raise ValueError("convergent regularity holds for k >= 2 only")
     entry = convergents(k)[-1]
-    result = search.best(entry.N_k, d_max=d_max)
+    result = search.best(entry.N_k)
     block = ClassConfig(w=entry.a_k, h=entry.b_k, pattern=RowPattern.FULL)
     return ConvergentCheck(
         k=k,

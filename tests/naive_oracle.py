@@ -9,6 +9,8 @@ rowpack.search except the tuple vocabulary used to compare argmin sets.
 `naive_best` loops over every w, d and s_minus (about cubic in n);
 `enumerate_members` lists the whole class for one n, unpruned, solving the
 circle count for w cell by cell, and `enumerated_best` takes its minimum.
+These two take every hole count unless given d_max: `hole_bound` bounds
+the holes of any member that can reach the hole-free minimum.
 """
 from __future__ import annotations
 
@@ -109,9 +111,27 @@ def naive_best(n: int, d_max: int = 5):
     return best_area, argmin
 
 
-def enumerate_members(n: int, d_max: int = 5):
-    """Every class member with n circles and at most d_max holes, unpruned,
-    as (w, h, pattern, s, s_minus, d) tuples.
+def hole_bound(n: int) -> int:
+    """Most holes in a member with n circles whose area is at most the
+    hole-free minimum A0.
+
+    Each of the n + d sites of a member costs at least 2 of width and each
+    row at least sqrt(3) of height, so its area W*H >= 2*sqrt(3)*(n + d):
+    a member with more than floor(A0/(2*sqrt(3))) - n holes is larger than A0.
+    """
+    p, q = enumerated_best(n, 0)[0]
+    # the largest m with 2*sqrt(3)*m <= p + q*sqrt(3), i.e. 3*(2m - q)^2 <= p^2
+    # once 2m > q (p > 0 for every member)
+    m = q // 2
+    while 3 * (2 * m + 2 - q) ** 2 <= p * p:
+        m += 1
+    return max(0, m - n)
+
+
+def enumerate_members(n: int, d_max: int | None = None):
+    """Every class member with n circles and at most d_max holes (no cap
+    beyond hole_bound(n) when d_max is None), unpruned, as
+    (w, h, pattern, s, s_minus, d) tuples.
 
     A cell (h, s, pattern) holds n = w*(h + s) - h_minus - k circles with
     k = s_minus + d, 0 <= k <= s + d_max, so only the w with
@@ -119,6 +139,8 @@ def enumerate_members(n: int, d_max: int = 5):
     grids are the cells h = 0: wider than tall, at least one full row, no
     holes.
     """
+    if d_max is None:
+        d_max = hole_bound(n)
     for s in range(1, n + 1):
         w = -(-n // s)  # the one w with n <= w*s <= n + s - 1
         s_minus = w * s - n
@@ -145,7 +167,7 @@ def enumerate_members(n: int, d_max: int = 5):
                         yield (w, h, pattern, s, k - d, d)
 
 
-def enumerated_best(n: int, d_max: int = 5):
+def enumerated_best(n: int, d_max: int | None = None):
     """(min_area (p, q), set of argmin tuples) over enumerate_members(n, d_max)."""
     best_area = None
     argmin: set[tuple] = set()

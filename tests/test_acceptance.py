@@ -54,7 +54,7 @@ _SCAN_WALL: dict[str, float] = {}
 @pytest.fixture(scope="session")
 def full_scan():
     t0 = time.time()
-    results = scan_range(1, 5000, d_max=5, jobs=1)
+    results = scan_range(1, 5000, jobs=1)
     _SCAN_WALL["seconds"] = time.time() - t0
     return results
 

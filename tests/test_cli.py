@@ -1,8 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rowpack.cli import main
+from rowpack.cli import build_parser, main
+from rowpack.search import scan_range, write_results
 
 
 def run_cli(capsys, *argv):
@@ -99,11 +102,44 @@ def test_theory(capsys):
 
 
 def test_dmax_only_on_commands_that_search(capsys):
-    for argv in (["theory"], ["compact", "--n", "2", "--seed", "1"]):
+    # no command takes a hole cap: every search is exact over all hole counts
+    for argv in (
+        ["search", "--n", "49"],
+        ["range", "--from", "1", "--to", "3"],
+        ["table", "--which", "1"],
+        ["irregular", "--to", "50"],
+        ["milestones", "--to", "50"],
+        ["aspect", "--to", "50"],
+        ["theory"],
+        ["compact", "--n", "2", "--seed", "1"],
+        ["render", "--n", "5"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--dmax", "0"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dmax" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "rowpack", line
+        parser.parse_args(argv[1:])  # exits 2 on a flag the CLI does not take
+
+
+def test_range_out_bytes_equal_write_results(tmp_path, capsys):
+    cli_path, lib_path = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+    code, _, _ = run_cli(
+        capsys, "range", "--from", "40", "--to", "130", "--jobs", "1", "--out", str(cli_path)
+    )
+    assert code == 0
+    write_results(scan_range(40, 130), lib_path)
+    assert cli_path.read_bytes() == lib_path.read_bytes()
 
 
 def test_aspect_csv(tmp_path, capsys):

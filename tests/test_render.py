@@ -52,6 +52,19 @@ def test_render_options_validation():
         RenderOptions(scale=0)
 
 
+@pytest.mark.parametrize("field", ["scale", "stroke_width"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_render_options_reject_non_finite_or_negative(field, value):
+    if field == "stroke_width" and value == 0.0:
+        # a zero stroke is allowed: circles drawn without outline width
+        svg = to_svg(ClassConfig(2, 0, FULL, s=1).coordinates(), RenderOptions(stroke_width=0.0))
+        assert 'stroke-width="0.000000"' in svg
+        return
+    with pytest.raises(ValueError, match=f"^{field} must be finite") as exc:
+        RenderOptions(**{field: value})
+    assert "\n" not in str(exc.value)
+
+
 def test_labels_row():
     svg = to_svg(ClassConfig(2, 0, FULL, s=1).coordinates(), RenderOptions(show_labels=True))
     assert "2 circles in" in svg

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -13,6 +14,7 @@ from rowpack.search import (
     milestones,
     read_results,
     result_to_json,
+    result_to_line,
     scan_range,
     write_results,
 )
@@ -115,7 +117,7 @@ def test_milestones_shape():
 
 def test_milestones_key_for_each_min_d_seen():
     # a full scan is accepted, and results past n_hi are skipped
-    report = milestones(8600, d_max=9, results=scan_range(1, 8610, d_max=9))
+    report = milestones(8600, results=scan_range(1, 8610))
     assert report.even_h_holed == 317
     assert report.first_min_d == {2: 393, 3: 717, 4: 2732, 5: 2776, 6: 8562}
     assert report.max_min_d == 6
@@ -124,17 +126,31 @@ def test_milestones_key_for_each_min_d_seen():
 
 def test_milestones_reject_a_scan_not_starting_at_1():
     with pytest.raises(ValueError, match="must be exactly n = 1..8600 in order"):
-        milestones(8600, d_max=9, results=scan_range(8500, 8600, d_max=9))
+        milestones(8600, results=scan_range(8500, 8600))
     with pytest.raises(ValueError, match="must be exactly n = 1..10 in order"):
         milestones(10, results=scan_range(1, 9))
 
 
-@pytest.mark.parametrize("d_max", [9, 10**9])
-def test_best_8562_beyond_the_hole_cap(d_max):
-    # d_max = 5 misses it: the class minimum needs six holes
-    r = best(8562, d_max=d_max)
+def test_best_8562_beyond_the_hole_cap():
+    # the class minimum needs six holes, more than a cap of five allows
+    r = best(8562)
     assert r.min_area == QuadInt(674, 16850)
     assert [as_tuple(c) for c in r.argmin] == [(168, 51, "full", 0, 0, 6)]
+
+
+def test_best_14261_and_18888_beyond_the_hole_cap():
+    # a cap of five holes gave larger areas here too; these need no cap
+    assert best(14261).min_area == QuadInt(880, 28160)
+    assert best(18888).min_area == QuadInt(1130, 37290)
+
+
+def test_scan_5001_to_20000_golden():
+    # sha256 of the JSONL, recorded from a search with no effective hole cap;
+    # a cap of five holes changes lines in this range (8562, 14261, 18888)
+    jsonl = "".join(result_to_line(r) for r in scan_range(5001, 20000))
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == (
+        "73e6e79d8bd0da6ec744dcad37401c37a6bd313c7567b240c4c8ce5cfb9fd1df"
+    )
 
 
 def test_milestone_411_argmin():
