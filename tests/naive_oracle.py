@@ -11,8 +11,12 @@ rowpack.search except the tuple vocabulary used to compare argmin sets.
 circle count for w cell by cell, and `enumerated_best` takes its minimum.
 These two take every hole count unless given d_max: `hole_bound` bounds
 the holes of any member that can reach the hole-free minimum.
+`members_within` lists only the members no larger than a given area, so it
+reaches n in the thousands.
 """
 from __future__ import annotations
+
+import math
 
 # pattern tags
 FULL, SHORT_OFFSET, SHORT_OUTER = "full", "short_offset", "short_outer"
@@ -179,3 +183,48 @@ def enumerated_best(n: int, d_max: int | None = None):
         if area == best_area:
             argmin.add(member)
     return best_area, argmin
+
+
+def members_within(n: int, area: tuple[int, int], d_max: int | None = None):
+    """Every class member with n circles, at most d_max holes (any number
+    when None) and area at most area = (p, q), as sorted
+    (w, h, pattern, s, s_minus, d) tuples.
+
+    A member with w columns and r = h + s rows has w*r >= n, W >= 2w and
+    H >= sqrt(3)*r + 2 - sqrt(3), so W*H >= 2*sqrt(3)*w*r bounds r for
+    each w, and W*H >= 2*sqrt(3)*n + 2*(2 - sqrt(3))*w bounds w.  A hex
+    block's H = 2*r + 2 - sqrt(3) - (2 - sqrt(3))*h falls as h grows, so
+    H <= area/(2w) bounds h from below.  The float bounds are widened by
+    one; the area test itself is exact.
+    """
+    root3 = math.sqrt(3)
+    cap = area[0] + area[1] * root3
+    found = []
+
+    def fits(w, h, pattern, s):
+        return not _less(area, _area(w, h, pattern, s))
+
+    w_max = math.floor((cap - 2 * root3 * n) / (2 * (2 - root3))) + 1
+    for w in range(1, w_max + 1):
+        for r in range(-(-n // w), math.floor(cap / (2 * root3 * w)) + 2):
+            # square grid: r rows of w, wider than tall, one row full at least
+            if w >= r and w * r - n <= r - 1 and (w * r == n or w >= 2) and fits(w, 0, FULL, r):
+                found.append((w, 0, FULL, r, w * r - n, 0))
+            h_lo = math.floor((2 * r + 2 - root3 - cap / (2 * w)) / (2 - root3)) - 1
+            for h in range(max(2, h_lo), r + 1):
+                s = r - h
+                for pattern in (FULL, SHORT_OFFSET, SHORT_OUTER):
+                    if pattern == SHORT_OUTER and (h % 2 == 0 or h < 3 or s > 0):
+                        continue
+                    if pattern != FULL and w < 2:
+                        continue
+                    k = w * r - _h_minus(pattern, h) - n
+                    if k < 0 or not fits(w, h, pattern, s):
+                        continue
+                    holes = _interior_capacity(w, h, pattern) if h >= 3 and w >= 3 else 0
+                    top = min(k, holes) if d_max is None else min(k, d_max, holes)
+                    for d in range(max(0, k - s), top + 1):
+                        if k - d > 0 and w < 2:
+                            continue
+                        found.append((w, h, pattern, s, k - d, d))
+    return sorted(found)

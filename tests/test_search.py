@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from naive_oracle import enumerate_members, enumerated_best
+from naive_oracle import _area, enumerate_members, enumerated_best, members_within
 from rowpack.packings import ClassConfig, RowPattern
 from rowpack.quadint import QuadInt
 from rowpack.search import (
@@ -52,6 +52,16 @@ def test_enumerate_n49_includes_star_pair():
     star_pair = {(17, 3, "short_outer", 0, 0, 0), (17, 3, "short_offset", 0, 0, 1)}
     assert star_pair <= set(enumerate_members(49, 5))
     assert star_pair <= {as_tuple(c) for c in best(49).argmin}
+
+
+def test_members_within_equals_filtered_enumeration():
+    # the area-bounded enumerator drops exactly the members larger than its cap
+    for n in range(1, 41):
+        hole_free = enumerated_best(n, 0)[0]
+        for area, d_max in ((hole_free, None), (hole_free, 2), ((hole_free[0] + 6, hole_free[1] + 2), 5)):
+            want = sorted(m for m in enumerate_members(n, d_max)
+                          if QuadInt(*_area(*m[:4])) <= QuadInt(*area))
+            assert members_within(n, area, d_max) == want, (n, area, d_max)
 
 
 def test_best_small_anchor_cases():
@@ -131,11 +141,16 @@ def test_milestones_reject_a_scan_not_starting_at_1():
         milestones(10, results=scan_range(1, 9))
 
 
-def test_best_8562_beyond_the_hole_cap():
-    # the class minimum needs six holes, more than a cap of five allows
+@pytest.mark.parametrize("d_max", [9, 10**9])
+def test_best_8562_beyond_the_hole_cap(d_max):
+    # the class minimum needs six holes: the brute force capped at d_max >= 6
+    # holes finds exactly best's argmin, and nothing that small with five
     r = best(8562)
     assert r.min_area == QuadInt(674, 16850)
     assert [as_tuple(c) for c in r.argmin] == [(168, 51, "full", 0, 0, 6)]
+    area = (r.min_area.p, r.min_area.q)
+    assert members_within(8562, area, d_max) == [as_tuple(c) for c in r.argmin]
+    assert members_within(8562, area, 5) == []
 
 
 def test_best_14261_and_18888_beyond_the_hole_cap():
