@@ -85,11 +85,12 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from . import improve
 from .packings import ClassConfig, RowPattern
 from .quadint import QuadInt, sign as _sign
 
@@ -102,12 +103,28 @@ class Classification(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SearchResult:
+    """The exact minimum area for n and its complete tie set, sorted; the
+    classification, min_d and shape_count are derived from argmin, once."""
     n: int
     min_area: QuadInt
     argmin: tuple[ClassConfig, ...]
-    classification: Classification
-    min_d: int
-    shape_count: int
+    classification: Classification = field(init=False)
+    min_d: int = field(init=False)
+    shape_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        ds = [c.d for c in self.argmin]  # min() rejects an empty argmin
+        min_d = min(ds)
+        if min_d >= 1:
+            cls = Classification.MUST_HAVE_HOLE
+        elif max(ds) == 0:
+            cls = Classification.REGULAR
+        else:
+            cls = Classification.MAY_HAVE_HOLE
+        shapes = len({(c.width_units, c.h, c.s) for c in self.argmin})  # (h, s) fixes the height
+        object.__setattr__(self, "classification", cls)
+        object.__setattr__(self, "min_d", min_d)
+        object.__setattr__(self, "shape_count", shapes)
 
     @property
     def width(self) -> int:
@@ -253,24 +270,9 @@ def _block(bounds: tuple[int, int]) -> list[SearchResult]:
     results = []
     for i, shapes in enumerate(ties):
         n = n_lo + i
-        ordered = tuple(sorted((ClassConfig(*f) for f in _splits(n, shapes)),
-                               key=ClassConfig.sort_key))
-        ds = [c.d for c in ordered]
-        if all(d == 0 for d in ds):
-            cls = Classification.REGULAR
-        elif all(d >= 1 for d in ds):
-            cls = Classification.MUST_HAVE_HOLE
-        else:
-            cls = Classification.MAY_HAVE_HOLE
-        results.append(SearchResult(
-            n=n,
-            min_area=QuadInt(capp[i], capq[i]),
-            argmin=ordered,
-            classification=cls,
-            min_d=min(ds),
-            # (h, s) fixes the height
-            shape_count=len({(c.width_units, c.h, c.s) for c in ordered}),
-        ))
+        argmin = tuple(sorted((ClassConfig(*f) for f in _splits(n, shapes)),
+                              key=ClassConfig.sort_key))
+        results.append(SearchResult(n, QuadInt(capp[i], capq[i]), argmin))
     return results
 
 
@@ -397,8 +399,6 @@ def result_to_json(result: SearchResult) -> dict:
 
 
 def _improvement_json(result: SearchResult) -> dict | None:
-    from . import improve  # local import: improve depends on packings only
-
     for cfg in result.argmin:
         if cfg.d >= 1 and improve.applicable_move(cfg) is not improve.MoveKind.NONE:
             return improve.improved_metrics(cfg).to_json()
@@ -406,15 +406,21 @@ def _improvement_json(result: SearchResult) -> dict | None:
 
 
 def result_from_json(obj: dict) -> SearchResult:
-    argmin = tuple(ClassConfig.from_json(c) for c in obj["argmin"])
-    return SearchResult(
+    """A results line rebuilt from its n, area and argmin.
+
+    Raises ValueError when the line's class, min_d or shapes differ from the
+    values derived from its argmin.
+    """
+    result = SearchResult(
         n=int(obj["n"]),
         min_area=QuadInt.from_json(obj["area"]),
-        argmin=argmin,
-        classification=Classification(obj["class"]),
-        min_d=int(obj["min_d"]),
-        shape_count=int(obj["shapes"]),
+        argmin=tuple(ClassConfig.from_json(c) for c in obj["argmin"]),
     )
+    for key, derived in (("class", result.classification.value),
+                         ("min_d", result.min_d), ("shapes", result.shape_count)):
+        if obj[key] != derived:
+            raise ValueError(f"{key} is {obj[key]!r}, but its argmin gives {derived!r}")
+    return result
 
 
 def result_to_line(result: SearchResult) -> str:

@@ -235,37 +235,28 @@ def _argmin_has(result: search.SearchResult, w: int, h: int, h_minus: int,
 def reproduce(which: int) -> TableReport:
     """Diff the engine's argmin sets against the published table."""
     if which == 1:
-        items = sorted(TABLE1)
-        stars, errata = TABLE1_STARS, TABLE1_ERRATA
+        table, stars, errata = TABLE1, TABLE1_STARS, TABLE1_ERRATA
     elif which == 2:
-        items = sorted(TABLE2)
+        table = {n: [row] for n, row in TABLE2.items()}
         stars, errata = TABLE2_STARS, TABLE2_ERRATA
     else:
         raise ValueError("table must be 1 or 2")
 
     checks: list[RowCheck] = []
-    for n in items:
+    for n in sorted(table):
         result = search.best(n)
-        star_ok = result.classification is _STAR_CLASS[stars.get(n, 0)]
         err = errata.get(n)
-        if which == 1:
-            rows = TABLE1[n]
-            if err is not None:
-                matched = _argmin_has(result, *err.corrected[:3], s=err.corrected[3])
-                rows = [err.printed]
-            else:
-                matched = all(_argmin_has(result, w, h, hm, s=s) for w, h, hm, s in rows)
-            row_repr = tuple(rows[0]) if len(rows) == 1 else tuple(rows)
+        if err is not None:
+            matched = _argmin_has(result, *err.corrected)
+            rows = [err.printed]
         else:
-            row = TABLE2[n]
-            if err is not None:
-                matched = _argmin_has(result, *err.corrected)
-            else:
-                matched = _argmin_has(result, *row)
-            row_repr = row
+            rows = table[n]
+            matched = all(_argmin_has(result, *row) for row in rows)
         checks.append(
             RowCheck(
-                n=n, row=row_repr, matched=matched, star_ok=star_ok,
+                n=n, row=tuple(rows[0]) if len(rows) == 1 else tuple(rows),
+                matched=matched,
+                star_ok=result.classification is _STAR_CLASS[stars.get(n, 0)],
                 erratum=err, classification=result.classification.value,
                 argmin=result.argmin,
             )

@@ -153,6 +153,14 @@ def test_best_8562_beyond_the_hole_cap(d_max):
     assert members_within(8562, area, 5) == []
 
 
+@pytest.mark.parametrize("n", [21817, 100003, 564718])
+def test_best_equals_members_within_past_8562(n):
+    # the independent oracle lists every member no larger than best's area;
+    # 21817 is the first n whose minimum needs seven holes
+    r = best(n)
+    assert members_within(n, (r.min_area.p, r.min_area.q)) == [as_tuple(c) for c in r.argmin]
+
+
 def test_best_14261_and_18888_beyond_the_hole_cap():
     # a cap of five holes gave larger areas here too; these need no cap
     assert best(14261).min_area == QuadInt(880, 28160)
@@ -217,6 +225,18 @@ def test_results_corrupt_line_names_line_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 2"):
         read_results(path)
+
+
+def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
+    # n = 79 has one argmin member, with d = 1: must_hole, min_d 1, 1 shape
+    path = tmp_path / "r.jsonl"
+    line = result_to_json(best(79))
+    path.write_text(json.dumps(line) + "\n")
+    assert read_results(path) == [best(79)]
+    for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7)):
+        path.write_text(json.dumps({**line, key: wrong}) + "\n")
+        with pytest.raises(ValueError, match=f"line 1: .*{key}"):
+            read_results(path)
 
 
 def test_result_json_schema():

@@ -82,9 +82,10 @@ def test_verify_convergent_regularity_k2():
     assert check.ok and check.n == 208
 
 
-def test_verify_convergent_regularity_k4_beyond_5000():
-    check = verify_convergent_regularity(4)
-    assert check.ok and check.n == 40544
+@pytest.mark.parametrize("k, n", [(4, 40544), (5, 564718), (6, 7865520)])
+def test_verify_convergent_regularity_k4_beyond_5000(k, n):
+    check = verify_convergent_regularity(k)
+    assert check.ok and check.n == n
 
 
 def test_verify_convergent_regularity_k1_excluded():
