@@ -1,12 +1,12 @@
 """Command-line surface: searches, range scans, reproduction reports, tools.
 
-Range scans fan out over processes (--jobs, or the PACK_JOBS environment
-variable, default the core count; at most one process per core and per n);
-parallel and serial runs write byte-identical files.  `range` writes each
-JSONL line as its block of n arrives, so its memory stays flat over long
-ranges.  A bad job count is a one-line error with exit status 2.  Compactor
-commands require an explicit seed.  Exit status is nonzero whenever a
-reproduction report falls short.
+Range scans fan out over processes (--jobs, default the core count; at most
+one process per core and per n); parallel and serial runs write
+byte-identical files.  `range` writes each JSONL line as its block of n
+arrives and `aspect` keeps only its CSV rows, so their memory stays flat
+over long ranges.  A job count below 1 is a one-line error with exit
+status 2.  Compactor commands require an explicit seed.  Exit status is
+nonzero whenever a reproduction report falls short.
 """
 from __future__ import annotations
 
@@ -17,25 +17,6 @@ import sys
 from contextlib import nullcontext
 
 from . import compactor, render, search, tables, theory
-
-
-def _positive_jobs(value: str | int, source: str) -> int:
-    """value as a job count; a ValueError naming source unless an integer >= 1."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    return jobs
-
-
-def _resolve_jobs(args: argparse.Namespace) -> None:
-    """Check PACK_JOBS, and fill in or check --jobs for the commands that take it."""
-    env = os.environ.get("PACK_JOBS")
-    default = _positive_jobs(env, "PACK_JOBS") if env else os.cpu_count() or 1
-    if hasattr(args, "jobs"):
-        args.jobs = default if args.jobs is None else _positive_jobs(args.jobs, "--jobs")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,7 +65,7 @@ def cmd_milestones(args: argparse.Namespace) -> int:
 
 
 def cmd_aspect(args: argparse.Namespace) -> int:
-    results = search.scan_range(1, args.n_hi, jobs=args.jobs)
+    results = search.iter_range(1, args.n_hi, jobs=args.jobs)
     _emit(render.aspect_scatter_csv(results), args.out)
     return 0
 
@@ -138,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-area rectangles for n unit circles: exact class search and tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs = os.cpu_count() or 1  # --jobs default
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -151,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("range", cmd_range, "scan [from, to]: JSONL results plus summary")
     p.add_argument("--from", dest="n_lo", type=int, required=True)
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=jobs)
 
     p = add("table", cmd_table, "reproduction report against a published table")
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
@@ -159,15 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("irregular", cmd_irregular, "n values whose optimum may/must have holes")
     p.add_argument("--from", dest="n_lo", type=int, default=1)
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=jobs)
 
     p = add("milestones", cmd_milestones, "smallest n per monovacancy landmark")
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=jobs)
 
     p = add("aspect", cmd_aspect, "aspect-ratio scatter CSV for hex optima")
     p.add_argument("--to", dest="n_hi", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=jobs)
 
     p = add("theory", cmd_theory, "closed-form constants and convergents (JSON)")
     p.add_argument("--kmax", type=int, default=3)
@@ -189,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_jobs(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

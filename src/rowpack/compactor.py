@@ -52,9 +52,8 @@ from enum import Enum
 import numpy as np
 
 from . import search
-from .packings import PackingRealization, max_violation
+from .packings import TOL, PackingRealization, max_violation
 
-_TOL = 1e-9
 # over-relaxation factor and neighbour-list skin of _relax_core; the module
 # docstring gives the measurements
 _OMEGA = 1.5
@@ -105,27 +104,18 @@ class CompactorRun:
         return "\n".join(lines) + "\n"
 
 
-def random_start(
-    n: int, seed: int, slack: float = 3.0, opt_area: float | None = None
-) -> PackingRealization:
+def random_start(n: int, seed: int, slack: float = 3.0) -> PackingRealization:
     """Seeded rejection-sampled sparse start in a box of slack x optimal area.
 
+    The area is slack * best(n).min_area, above 4 as best(1) has area 4.
     The aspect ratio is drawn uniformly from [0.2, 1.0], with the lower end
-    clamped to 4/area so the box always has room for one circle; an
-    area = slack * opt_area below 4, or not finite, is a ValueError.
+    clamped to 4/area so the box always has room for one circle.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not slack > 1.0:
         raise ValueError("slack must exceed 1")
-    if opt_area is None:
-        opt_area = search.best(n).min_area.to_float()
-    area = slack * opt_area
-    if not (math.isfinite(area) and area >= 4.0):
-        raise ValueError(
-            f"opt_area={opt_area!r} leaves no room for one circle: "
-            "slack * opt_area must be finite and >= 4"
-        )
+    area = slack * search.best(n).min_area.to_float()
     rng = np.random.default_rng(seed)
     aspect = rng.uniform(max(0.2, 4.0 / area), 1.0)
     width = math.sqrt(area / aspect)
@@ -230,7 +220,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     symmetrically along their center line, in fixed (i, j) index order
     (Gauss-Seidel, over-relaxed by _OMEGA), repeating until the worst
     violation is below 1e-9 or the budget is spent.  True is returned only when
-    packings.max_violation(pts, width, height) <= _TOL on the final pts, so
+    packings.max_violation(pts, width, height) <= TOL on the final pts, so
     it certifies that the state left in pts is valid for the box; callers
     need not check again.
 
@@ -255,7 +245,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     the all-pairs loop cannot tell that count from the true one.  The true
     count is kept so the bound holds as stated, not by the margin.
     """
-    if width < 2.0 - _TOL or height < 2.0 - _TOL:
+    if width < 2.0 - TOL or height < 2.0 - TOL:
         return False
     n = len(pts)
     xlo, xhi = 1.0, width - 1.0
@@ -297,12 +287,12 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
             listed, moved = None, 0.0
         elif listed is None:  # a calm sweep: list the pairs that can meet soon
             listed, moved = _neighbours(xs, ys), 0.0
-        if worst <= _TOL:
+        if worst <= TOL:
             pts[:, 0] = xs
             pts[:, 1] = ys
             np.clip(pts[:, 0], xlo, xhi, out=pts[:, 0])
             np.clip(pts[:, 1], ylo, yhi, out=pts[:, 1])
-            if max_violation(pts, width, height) <= _TOL:
+            if max_violation(pts, width, height) <= TOL:
                 return True
             xs = pts[:, 0].tolist()
             ys = pts[:, 1].tolist()
@@ -317,7 +307,7 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
                 break
     pts[:, 0] = xs
     pts[:, 1] = ys
-    return max_violation(pts, width, height) <= _TOL
+    return max_violation(pts, width, height) <= TOL
 
 
 def compact(params: CompactorParams) -> CompactorRun:

@@ -37,6 +37,8 @@ import numpy as np
 from .quadint import QuadInt
 
 _SQRT3 = math.sqrt(3.0)
+# the largest wall overshoot or overlap depth a valid packing may show
+TOL = 1e-9
 
 
 class RowPattern(Enum):
@@ -101,12 +103,21 @@ def max_violation(pts: np.ndarray, width: float, height: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class PackingRealization:
-    """Explicit unit-circle centers inside a width x height rectangle (lengths in radii)."""
+    """Explicit unit-circle centers inside a width x height rectangle (lengths in radii).
+
+    Every center and hole must be an (x, y) pair: one of another length is a
+    ValueError on construction.
+    """
 
     centers: tuple[tuple[float, float], ...]
     width: float
     height: float
     holes: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("centers", "holes"):
+            if not set(map(len, getattr(self, name))) <= {2}:
+                raise ValueError(f"{name} must be (x, y) pairs")
 
     def max_violation(self) -> float:
         """Largest constraint violation: wall overshoot or pair overlap depth."""
@@ -114,8 +125,9 @@ class PackingRealization:
         pts = np.fromiter(chain.from_iterable(self.centers), float, 2 * n).reshape(n, 2)
         return max_violation(pts, self.width, self.height)
 
-    def is_valid(self, tol: float = 1e-12) -> bool:
-        return self.max_violation() <= tol
+    def is_valid(self) -> bool:
+        """No wall overshoot or pair overlap deeper than TOL."""
+        return self.max_violation() <= TOL
 
     def to_json(self) -> dict:
         return {

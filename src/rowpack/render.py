@@ -2,7 +2,9 @@
 
 Output is byte-stable: all coordinates are printed with exactly six decimal
 places and elements are emitted in a fixed order, so identical inputs yield
-identical documents (goldens stay valid).
+identical documents (goldens stay valid).  Every figure has one style: a
+radius is _SCALE = 20 pixels, every outline is _STROKE = 1 pixel wide,
+holes are dashed circles marked '?', and there is no caption.
 
 `to_svg` formats each distinct center x once and each distinct center y
 once.  A row-structured packing has about 2w distinct x values and h + s
@@ -17,42 +19,29 @@ infinite violation) and at least 1 - 1e-9 radii from each wall, so x*k and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 from typing import Iterable
 
 from .packings import PackingRealization
 from .search import SearchResult
 
 _FMT = "{:.6f}"
-
-
-@dataclass(frozen=True, slots=True)
-class RenderOptions:
-    scale: float = 20.0        # pixels per circle radius
-    stroke_width: float = 1.0
-    show_holes: bool = True
-    show_labels: bool = False  # caption "<n> circles in <width> x <height>" at top left
-
-    def __post_init__(self) -> None:
-        if not (isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
-        if not (isfinite(self.stroke_width) and self.stroke_width >= 0):
-            raise ValueError(f"stroke_width must be finite and >= 0, got {self.stroke_width!r}")
+_SCALE = 20.0  # pixels per circle radius
+_STROKE = 1.0  # outline width in pixels
 
 
 def _f(value: float) -> str:
     return _FMT.format(value)
 
 
-def to_svg(realization: PackingRealization, opts: RenderOptions = RenderOptions()) -> str:
+def to_svg(realization: PackingRealization) -> str:
     """One rectangle plus one circle per center; holes dashed with a '?'."""
-    if not realization.is_valid(1e-9):
+    if not realization.is_valid():
         raise ValueError("refusing to render an invalid realization")
-    k = opts.scale
+    k = _SCALE
     w_px = realization.width * k
     h_px = realization.height * k
-    sw = _f(opts.stroke_width)
+    sw = _f(_STROKE)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(w_px)}" height="{_f(h_px)}" '
@@ -73,24 +62,15 @@ def to_svg(realization: PackingRealization, opts: RenderOptions = RenderOptions(
         if cy is None:
             cy = tails[y] = _f((height - y) * k) + tail  # SVG y axis points down
         lines.append(head + cy)
-    if opts.show_holes:
-        for x, y in realization.holes:
-            cy = (realization.height - y) * k
-            lines.append(
-                f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(k)}" '
-                f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
-            )
-            lines.append(
-                f'<text x="{_f(x * k)}" y="{_f(cy + 0.25 * k)}" text-anchor="middle" '
-                f'font-size="{_f(0.8 * k)}">?</text>'
-            )
-    if opts.show_labels:
-        label = (
-            f"{len(realization.centers)} circles in "
-            f"{_f(realization.width)} x {_f(realization.height)}"
+    for x, y in realization.holes:
+        cy = (height - y) * k
+        lines.append(
+            f'<circle cx="{_f(x * k)}" cy="{_f(cy)}" r="{_f(k)}" '
+            f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
         )
         lines.append(
-            f'<text x="{_f(0.2 * k)}" y="{_f(0.7 * k)}" font-size="{_f(0.6 * k)}">{label}</text>'
+            f'<text x="{_f(x * k)}" y="{_f(cy + 0.25 * k)}" text-anchor="middle" '
+            f'font-size="{_f(0.8 * k)}">?</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -99,12 +79,14 @@ def to_svg(realization: PackingRealization, opts: RenderOptions = RenderOptions(
 def aspect_scatter_csv(results: Iterable[SearchResult]) -> str:
     """Rows (n, aspect) for purely hexagonal optima, plus the 2 - sqrt(3) row.
 
-    An n is included only when every argmin configuration is a pure hex block
-    (h >= 2, no square rows): square-grid optima and hybrid ties would make
-    the best aspect ratio ambiguous.
+    results must come in ascending n, as `search.iter_range` streams them;
+    rows are written in the order given.  An n is included only when every
+    argmin configuration is a pure hex block (h >= 2, no square rows):
+    square-grid optima and hybrid ties would make the best aspect ratio
+    ambiguous.
     """
     lines = ["n,aspect"]
-    for result in sorted(results, key=lambda r: r.n):
+    for result in results:
         if all(c.h >= 2 and c.s == 0 for c in result.argmin):
             lines.append(f"{result.n},{_f(result.aspect_ratio())}")
     lines.append(f"limit,{_f(2.0 - sqrt(3.0))}")

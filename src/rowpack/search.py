@@ -298,10 +298,12 @@ def iter_range(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[SearchResult]:
     The range is cut into blocks of BLOCK n.  With jobs > 1 (capped at the
     core count and the span) a process pool maps blocks of
     min(BLOCK, ceil(span / jobs)) n in order.  Arguments are checked here,
-    before the first result is asked for.
+    before the first result is asked for: jobs < 1 is a ValueError.
     """
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     span = n_hi - n_lo + 1
     jobs = min(jobs, os.cpu_count() or 1, span)
     size = BLOCK if jobs <= 1 else min(BLOCK, -(-span // jobs))
@@ -408,14 +410,21 @@ def _improvement_json(result: SearchResult) -> dict | None:
 def result_from_json(obj: dict) -> SearchResult:
     """A results line rebuilt from its n, area and argmin.
 
-    Raises ValueError when the line's class, min_d or shapes differ from the
-    values derived from its argmin.
+    Raises ValueError when an argmin member holds another n or has another
+    exact area than the line, or when the line's class, min_d or shapes
+    differ from the values derived from its argmin.
     """
     result = SearchResult(
         n=int(obj["n"]),
         min_area=QuadInt.from_json(obj["area"]),
         argmin=tuple(ClassConfig.from_json(c) for c in obj["argmin"]),
     )
+    n, p, q = result.n, result.min_area.p, result.min_area.q
+    for c in result.argmin:
+        width, height = c.width_units, c.height()
+        if c.n != n or width * height.p != p or width * height.q != q:
+            raise ValueError(f"argmin member {c.to_json()} does not have n = {n} "
+                             f"and area {p} + {q}*sqrt(3)")
     for key, derived in (("class", result.classification.value),
                          ("min_d", result.min_d), ("shapes", result.shape_count)):
         if obj[key] != derived:

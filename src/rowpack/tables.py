@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import search
 from .packings import ClassConfig
-from .quadint import QuadInt
 
 # n -> list of (w, h, h_minus, s); several rows mean several optimal shapes.
 TABLE1: dict[int, list[tuple[int, int, int, int]]] = {
@@ -263,9 +262,3 @@ def reproduce(which: int) -> TableReport:
         )
     return TableReport(which=which, checks=tuple(checks))
 
-
-def row_area(w: int, h: int, h_minus: int, s: int = 0) -> QuadInt:
-    """Exact area of a printed (w, h, h_minus, s) row, for fixture self-checks."""
-    width = 2 * w + 1 if (h >= 2 and h_minus == 0) else 2 * w
-    height = QuadInt(2 + 2 * s, h - 1) if h >= 2 else QuadInt(2 * s, 0)
-    return height * width

@@ -299,7 +299,7 @@ def test_criterion_10_compactor():
         rep = best_of(n, 50, replace(template, n=n))
         gaps[n] = rep.gap
         anomaly = anomaly or rep.anomaly
-        valid = valid and rep.run.realization.is_valid(1e-9)
+        valid = valid and rep.run.realization.is_valid()
     elapsed = time.time() - t0
     within = {n: g <= 0.02 for n, g in gaps.items()}
     ok = deterministic and valid and not anomaly and all(within.values()) and elapsed < 120

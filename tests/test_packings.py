@@ -95,7 +95,7 @@ def test_coordinates_single_circle():
     r = ClassConfig(1, 0, FULL, s=1).coordinates()
     assert r.centers == ((1.0, 1.0),)
     assert (r.width, r.height) == (2.0, 2.0)
-    assert r.is_valid()
+    assert r.max_violation() <= 1e-12
 
 
 def test_coordinates_25():
@@ -103,7 +103,7 @@ def test_coordinates_25():
     assert len(r.centers) == 25
     assert r.width == 26.0
     assert r.height == pytest.approx(2 + math.sqrt(3))
-    assert r.is_valid()
+    assert r.max_violation() <= 1e-12
 
 
 def test_coordinates_49_with_hole():
@@ -117,7 +117,7 @@ def test_coordinates_49_with_hole():
     counts = [sum(1 for _, y in r.centers if round(y, 9) == v) for v in ys]
     assert counts == [17, 15, 17]
     assert r.holes[0][1] == pytest.approx(1 + math.sqrt(3))
-    assert r.is_valid()
+    assert r.max_violation() <= 1e-12
 
 
 def _random_valid_configs(rng, count):
@@ -143,7 +143,7 @@ def test_realization_consistency_random():
             continue
         r = cfg.coordinates()
         assert len(r.centers) == cfg.n
-        assert r.is_valid(1e-12)
+        assert r.max_violation() <= 1e-12
         xs = [p[0] for p in r.centers] + [p[0] for p in r.holes]
         ys = [p[1] for p in r.centers] + [p[1] for p in r.holes]
         # bounding box inflated by the radius equals the rectangle
@@ -193,7 +193,7 @@ def test_hybrid_coordinates_validity():
         _, b = hybrid_pair(k)
         r = b.coordinates()
         assert len(r.centers) == b.n
-        assert r.is_valid(1e-12)
+        assert r.max_violation() <= 1e-12
 
 
 def test_json_round_trip():
@@ -234,7 +234,18 @@ NON_FINITE = [
 @pytest.mark.parametrize("real", NON_FINITE)
 def test_non_finite_packing_is_invalid(real):
     assert real.max_violation() == math.inf
-    assert not real.is_valid(1e-9)
+    assert not real.is_valid()
+
+
+@pytest.mark.parametrize("field, points", [
+    ("centers", ((1.0, 1.0, 3.0), (1.0, 3.0, 1.0))),
+    ("centers", ((1.0, 1.0), (3.0,))),
+    ("holes", ((2.0,),)),
+])
+def test_points_that_are_not_pairs_are_rejected(field, points):
+    kwargs = {"centers": ((1.0, 1.0),), "width": 4.0, "height": 4.0, field: points}
+    with pytest.raises(ValueError, match=f"^{field} must be \\(x, y\\) pairs$"):
+        PackingRealization(**kwargs).is_valid()
 
 
 @pytest.mark.parametrize("real", NON_FINITE)
@@ -246,7 +257,7 @@ def test_non_finite_packing_is_not_rendered(real):
 @pytest.mark.parametrize("real", NON_FINITE)
 def test_non_finite_packing_fails_the_compactor_check(real):
     pts = np.array(real.centers, dtype=float).reshape(-1, 2)
-    assert not compactor.max_violation(pts, real.width, real.height) <= compactor._TOL
+    assert not compactor.max_violation(pts, real.width, real.height) <= compactor.TOL
     # the clamp pulls an infinite centre into a finite box; NaN stays NaN
     ok = compactor._relax_core(pts, real.width, real.height, 100)
     assert ok == (math.isfinite(real.width * real.height) and bool(np.isfinite(pts).all()))

@@ -13,7 +13,7 @@ from rowpack.cli import main
 from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_violation
 from rowpack.quadint import QuadInt
 from rowpack import compactor, search
-from rowpack.render import RenderOptions, to_svg
+from rowpack.render import to_svg
 from rowpack.search import BLOCK, best, result_to_json, scan_range
 
 FULL = RowPattern.FULL
@@ -173,7 +173,7 @@ def all_pairs_relax(pts, width, height, iters):
     over all pairs in (i, j) order each sweep (each center of a pair moves
     _OMEGA/2 * gap), with the stall rule and the final certificate of
     compactor._relax_core."""
-    tol = compactor._TOL
+    tol = compactor.TOL
     if width < 2.0 - tol or height < 2.0 - tol:
         return False
     n = len(pts)
@@ -263,15 +263,16 @@ def test_relax_neighbour_list_equals_all_pairs(case):
     assert pts.tobytes() == ref.tobytes()
 
 
-def per_circle_svg(realization, opts):
-    """Reference renderer: every coordinate of every circle formatted anew."""
+def per_circle_svg(realization):
+    """Reference renderer: every coordinate of every circle formatted anew,
+    20 pixels per radius, 1-pixel strokes."""
     def f(value):
         return "{:.6f}".format(value)
 
-    k = opts.scale
+    k = 20.0
     w_px = realization.width * k
     h_px = realization.height * k
-    sw = f(opts.stroke_width)
+    sw = f(1.0)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{f(w_px)}" height="{f(h_px)}" '
@@ -285,24 +286,15 @@ def per_circle_svg(realization, opts):
             f'<circle cx="{f(x * k)}" cy="{f(cy)}" r="{f(k)}" '
             f'fill="none" stroke="black" stroke-width="{sw}"/>'
         )
-    if opts.show_holes:
-        for x, y in realization.holes:
-            cy = (realization.height - y) * k
-            lines.append(
-                f'<circle cx="{f(x * k)}" cy="{f(cy)}" r="{f(k)}" '
-                f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
-            )
-            lines.append(
-                f'<text x="{f(x * k)}" y="{f(cy + 0.25 * k)}" text-anchor="middle" '
-                f'font-size="{f(0.8 * k)}">?</text>'
-            )
-    if opts.show_labels:
-        label = (
-            f"{len(realization.centers)} circles in "
-            f"{f(realization.width)} x {f(realization.height)}"
+    for x, y in realization.holes:
+        cy = (realization.height - y) * k
+        lines.append(
+            f'<circle cx="{f(x * k)}" cy="{f(cy)}" r="{f(k)}" '
+            f'fill="none" stroke="black" stroke-width="{sw}" stroke-dasharray="4 3"/>'
         )
         lines.append(
-            f'<text x="{f(0.2 * k)}" y="{f(0.7 * k)}" font-size="{f(0.6 * k)}">{label}</text>'
+            f'<text x="{f(x * k)}" y="{f(cy + 0.25 * k)}" text-anchor="middle" '
+            f'font-size="{f(0.8 * k)}">?</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -362,19 +354,7 @@ def scattered_realizations(draw):
     return PackingRealization(tuple(centers), width, height, tuple(holes))
 
 
-render_options = st.builds(
-    RenderOptions,
-    scale=st.floats(0.01, 500.0),
-    stroke_width=st.floats(0.0, 10.0),
-    show_holes=st.booleans(),
-    show_labels=st.booleans(),
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(class_configs().map(ClassConfig.coordinates), scattered_realizations()),
-    render_options,
-)
-def test_svg_equals_per_circle_renderer(realization, opts):
-    assert to_svg(realization, opts) == per_circle_svg(realization, opts)
+@given(st.one_of(class_configs().map(ClassConfig.coordinates), scattered_realizations()))
+def test_svg_equals_per_circle_renderer(realization):
+    assert to_svg(realization) == per_circle_svg(realization)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from rowpack.packings import ClassConfig, RowPattern, hybrid_pair
-from rowpack.render import RenderOptions, aspect_scatter_csv, to_svg
+from rowpack.render import aspect_scatter_csv, to_svg
 from rowpack.search import best, scan_range
 
 SOFF = RowPattern.SHORT_OFFSET
@@ -26,14 +26,6 @@ def test_49_with_hole_svg():
     assert ">?</text>" in svg
 
 
-def test_hole_marker_suppressed():
-    svg = to_svg(
-        ClassConfig(17, 3, SOFF, d=1).coordinates(),
-        RenderOptions(show_holes=False),
-    )
-    assert "dasharray" not in svg and "<text" not in svg
-
-
 def test_byte_stable():
     cfg = ClassConfig(16, 5, FULL, d=1)
     assert to_svg(cfg.coordinates()) == to_svg(cfg.coordinates())
@@ -45,29 +37,6 @@ def test_rejects_invalid_realization():
     bad = PackingRealization(centers=((1.0, 1.0), (2.0, 1.0)), width=4.0, height=2.0)
     with pytest.raises(ValueError):
         to_svg(bad)
-
-
-def test_render_options_validation():
-    with pytest.raises(ValueError):
-        RenderOptions(scale=0)
-
-
-@pytest.mark.parametrize("field", ["scale", "stroke_width"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_render_options_reject_non_finite_or_negative(field, value):
-    if field == "stroke_width" and value == 0.0:
-        # a zero stroke is allowed: circles drawn without outline width
-        svg = to_svg(ClassConfig(2, 0, FULL, s=1).coordinates(), RenderOptions(stroke_width=0.0))
-        assert 'stroke-width="0.000000"' in svg
-        return
-    with pytest.raises(ValueError, match=f"^{field} must be finite") as exc:
-        RenderOptions(**{field: value})
-    assert "\n" not in str(exc.value)
-
-
-def test_labels_row():
-    svg = to_svg(ClassConfig(2, 0, FULL, s=1).coordinates(), RenderOptions(show_labels=True))
-    assert "2 circles in" in svg
 
 
 def test_aspect_scatter_rules():
@@ -120,11 +89,3 @@ def test_svg_golden_bytes_large():
     digest = hashlib.sha256(to_svg(cfg.coordinates()).encode()).hexdigest()
     assert digest == "b73e1e0da483e22715a627355e106d7f8a8953321c1b4037860601c512dd0804"
 
-
-def test_svg_golden_bytes_custom_options():
-    svg = to_svg(
-        ClassConfig(17, 3, SOFF, d=1).coordinates(),
-        RenderOptions(scale=7.3, show_labels=True, show_holes=False),
-    )
-    digest = hashlib.sha256(svg.encode()).hexdigest()
-    assert digest == "dade9033a8712e57752e24852358de275024e58953237a436b00f9f8d4d616b2"

@@ -116,6 +116,14 @@ def test_irregular_scan_bad_range():
         irregular_scan(0, 5)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scans_reject_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="^jobs must be >= 1"):
+        scan_range(1, 5, jobs=jobs)
+    with pytest.raises(ValueError, match="^jobs must be >= 1"):
+        irregular_scan(1, 5, jobs=jobs)
+
+
 def test_milestones_shape():
     report = milestones(420)
     assert report.even_h_holed == 317
@@ -228,14 +236,16 @@ def test_results_corrupt_line_names_line_number(tmp_path):
 
 
 def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
-    # n = 79 has one argmin member, with d = 1: must_hole, min_d 1, 1 shape
+    # n = 79 has one argmin member, with d = 1 and area 66 + 132*sqrt(3):
+    # must_hole, min_d 1, 1 shape
     path = tmp_path / "r.jsonl"
     line = result_to_json(best(79))
     path.write_text(json.dumps(line) + "\n")
     assert read_results(path) == [best(79)]
-    for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7)):
+    for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7),
+                       ("n", 80), ("area", {"p": 1, "q": 1})):
         path.write_text(json.dumps({**line, key: wrong}) + "\n")
-        with pytest.raises(ValueError, match=f"line 1: .*{key}"):
+        with pytest.raises(ValueError, match=f"line 1: .*\\b{key}\\b"):
             read_results(path)
 
 

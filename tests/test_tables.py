@@ -1,4 +1,4 @@
-from naive_oracle import _less
+from naive_oracle import FULL, SHORT_OFFSET, _area, _less
 from rowpack import tables
 
 
@@ -29,10 +29,10 @@ def test_fixture_errata_are_provably_inconsistent_or_suboptimal():
     # 11: printed row holds 11 circles but in a strictly larger rectangle
     w, h, hm, s = tables.TABLE1_ERRATA[11].printed
     assert w * (h + s) - hm == 11
-    printed_area = tables.row_area(w, h, hm, s)
+    printed_area = _area(w, h, FULL if hm == 0 else SHORT_OFFSET, s)
     w, h, hm, s = tables.TABLE1_ERRATA[11].corrected
-    corrected_area = tables.row_area(w, h, hm, s)
-    assert _less((corrected_area.p, corrected_area.q), (printed_area.p, printed_area.q))
+    corrected_area = _area(w, h, FULL if hm == 0 else SHORT_OFFSET, s)
+    assert _less(corrected_area, printed_area)
     # 110: no hole count can reconcile the printed parameters
     w, h, hm = tables.TABLE2_ERRATA[110].printed
     assert all(w * h - hm - d != 110 for d in range(0, 9))
