@@ -10,7 +10,6 @@ from .search import (
     Classification,
     SearchResult,
     best,
-    irregular_scan,
     milestones,
     read_results,
     scan_range,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadInt",
     "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
-    "Classification", "SearchResult", "best", "irregular_scan", "milestones",
+    "Classification", "SearchResult", "best", "milestones",
     "read_results", "scan_range", "write_results",
     "ImprovementReport", "MoveKind", "applicable_move", "improved_metrics",
     "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",

@@ -1,12 +1,14 @@
 """Command-line surface: searches, range scans, reproduction reports, tools.
 
-Range scans fan out over processes (--jobs, default the core count; at most
-one process per core and per n); parallel and serial runs write
-byte-identical files.  `range` writes each JSONL line as its block of n
-arrives and `aspect` keeps only its CSV rows, so their memory stays flat
-over long ranges.  A job count below 1 is a one-line error with exit
-status 2.  Compactor commands require an explicit seed.  Exit status is
-nonzero whenever a reproduction report falls short.
+Range commands (`range`, `irregular`, `milestones`, `aspect`) each reduce
+one `search.iter_range` stream, which fans out over processes (--jobs,
+default the core count; at most one process per core and per block of
+`search.BLOCK` n); parallel and serial runs write byte-identical files.
+`range` writes each JSONL line as its block of n arrives and the others
+keep only their own output, so memory stays flat over long ranges.  A job
+count below 1 is a one-line error with exit status 2.  Compactor commands
+require exactly one of --seed and --seeds.  Exit status is nonzero
+whenever a reproduction report falls short.
 """
 from __future__ import annotations
 
@@ -53,13 +55,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_irregular(args: argparse.Namespace) -> int:
-    values = search.irregular_scan(args.n_lo, args.n_hi, jobs=args.jobs)
-    _emit("".join(f"{v}\n" for v in values), args.out)
+    results = search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs)
+    regular = search.Classification.REGULAR
+    _emit("".join(f"{r.n}\n" for r in results if r.classification is not regular), args.out)
     return 0
 
 
 def cmd_milestones(args: argparse.Namespace) -> int:
-    report = search.milestones(args.n_hi, jobs=args.jobs)
+    report = search.milestones(args.n_hi, search.iter_range(1, args.n_hi, jobs=args.jobs))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return 0
 
@@ -82,11 +85,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
-    if args.seeds is None and args.seed is None:
-        print("compact requires an explicit --seed or --seeds", file=sys.stderr)
+    if (args.seed is None) == (args.seeds is None):
+        print("compact requires exactly one of --seed and --seeds", file=sys.stderr)
         return 2
     if args.seeds is not None:
-        report = compactor.best_of(args.n, args.seeds)
+        report = compactor.best_of(compactor.CompactorParams(n=args.n, seed=0), args.seeds)
         print(json.dumps(report.to_json(), indent=2))
         run = report.run
     else:

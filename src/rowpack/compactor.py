@@ -380,21 +380,18 @@ class BestOfReport:
         }
 
 
-def best_of(
-    n: int, seed_count: int, params_template: CompactorParams | None = None
-) -> BestOfReport:
-    """Best of seed_count runs (seeds 0..seed_count-1; ties keep the lower seed)."""
+def best_of(params: CompactorParams, seed_count: int) -> BestOfReport:
+    """Best of seed_count runs of params with seeds 0..seed_count-1, its own
+    seed unused (ties keep the lower seed)."""
     if seed_count < 1:
         raise ValueError("seed_count must be >= 1")
-    if params_template is None:
-        params_template = CompactorParams(n=n, seed=0)
     best_run: CompactorRun | None = None
     best_seed = -1
     for seed in range(seed_count):
-        run = compact(replace(params_template, n=n, seed=seed))
+        run = compact(replace(params, seed=seed))
         if best_run is None or run.density > best_run.density:
             best_run, best_seed = run, seed
-    opt = search.best(n).density()
+    opt = search.best(params.n).density()
     return BestOfReport(
         run=best_run,
         seed=best_seed,

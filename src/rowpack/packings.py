@@ -255,24 +255,16 @@ class ClassConfig:
         """Explicit centers (and hole positions) for this configuration."""
         rows: list[tuple[float, list[float]]] = []  # (y, xs) bottom-up
         w, h, s = self.w, self.h, self.s
-
-        if h == 0:
-            for j in range(s):
-                y = 1.0 + 2.0 * j
-                short = j >= s - self.s_minus
-                count = w - 1 if short else w
-                rows.append((y, [1.0 + 2.0 * i for i in range(count)]))
-        else:
-            for k in range(h):
-                x0, count = self._hex_row(k)
-                rows.append((1.0 + k * _SQRT3, [x0 + 2.0 * i for i in range(count)]))
-            # square rows stack on the (full) top hex row, same x alignment
-            y_top = 1.0 + (h - 1) * _SQRT3
-            top_x0 = rows[-1][1][0]
-            for j in range(1, s + 1):
-                short = j > s - self.s_minus
-                count = w - 1 if short else w
-                rows.append((y_top + 2.0 * j, [top_x0 + 2.0 * i for i in range(count)]))
+        for k in range(h):
+            x0, count = self._hex_row(k)
+            rows.append((1.0 + k * _SQRT3, [x0 + 2.0 * i for i in range(count)]))
+        # square rows stack on the (full) top hex row, same x alignment; a
+        # square grid (h = 0) stacks them from the floor, first row at y = 1
+        y_top, top_x0 = (1.0 + (h - 1) * _SQRT3, rows[-1][1][0]) if h else (-1.0, 1.0)
+        for j in range(1, s + 1):
+            short = j > s - self.s_minus
+            count = w - 1 if short else w
+            rows.append((y_top + 2.0 * j, [top_x0 + 2.0 * i for i in range(count)]))
 
         holes: list[tuple[float, float]] = []
         if self.d > 0:

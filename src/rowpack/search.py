@@ -76,8 +76,9 @@ BLOCK = 32 was measured, not derived.  On one vCPU of a shared 2-vCPU VM
 on 1..5000 but lost 9 of 15 on 5001..20000.  A small block walks the cells
 again for every few n; a large one loosens the cell test and the w cut.
 
-Range scans may fan out over processes; results are streamed in n order,
-so parallel and serial runs produce identical output.
+Range scans may fan out over processes, at most one per core and per
+block; results are streamed in n order, so parallel and serial runs
+produce identical output.
 """
 from __future__ import annotations
 
@@ -283,32 +284,21 @@ def best(n: int) -> SearchResult:
     return _block((n, n))[0]
 
 
-def irregular_scan(n_lo: int, n_hi: int, jobs: int = 1) -> list[int]:
-    """All n in [n_lo, n_hi] whose class optimum may or must have holes."""
-    return [
-        r.n
-        for r in iter_range(n_lo, n_hi, jobs=jobs)
-        if r.classification is not Classification.REGULAR
-    ]
-
-
 def iter_range(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[SearchResult]:
     """best(n) for every n in [n_lo, n_hi], streamed in ascending n order.
 
-    The range is cut into blocks of BLOCK n.  With jobs > 1 (capped at the
-    core count and the span) a process pool maps blocks of
-    min(BLOCK, ceil(span / jobs)) n in order.  Arguments are checked here,
+    The only code that runs a range: `scan_range`, `milestones` and the CLI's
+    range commands all reduce this stream.  The range is cut into blocks of
+    BLOCK n; min(jobs, core count, block count) processes map them in order,
+    so a one-block range never starts a pool.  Arguments are checked here,
     before the first result is asked for: jobs < 1 is a ValueError.
     """
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    span = n_hi - n_lo + 1
-    jobs = min(jobs, os.cpu_count() or 1, span)
-    size = BLOCK if jobs <= 1 else min(BLOCK, -(-span // jobs))
-    blocks = [(a, min(a + size - 1, n_hi)) for a in range(n_lo, n_hi + 1, size)]
-    return _stream(blocks, jobs)
+    blocks = [(a, min(a + BLOCK - 1, n_hi)) for a in range(n_lo, n_hi + 1, BLOCK)]
+    return _stream(blocks, min(jobs, os.cpu_count() or 1, len(blocks)))
 
 
 def _stream(blocks: list[tuple[int, int]], jobs: int) -> Iterator[SearchResult]:
@@ -344,15 +334,13 @@ class Milestones:
         }
 
 
-def milestones(n_hi: int, jobs: int = 1,
-               results: Iterable[SearchResult] | None = None) -> Milestones:
-    """Monovacancy landmarks for 1..n_hi.
+def milestones(n_hi: int, results: Iterable[SearchResult]) -> Milestones:
+    """Monovacancy landmarks for 1..n_hi, reduced from a scan such as
+    `iter_range(1, n_hi)`.
 
-    A prior scan may be passed as `results`; its results with n <= n_hi must
-    be exactly n = 1..n_hi in order, and later ones are skipped.
+    The results with n <= n_hi must be exactly n = 1..n_hi in order (a
+    ValueError otherwise), and later ones are skipped.
     """
-    if results is None:
-        results = iter_range(1, n_hi, jobs=jobs)
     even_h_holed = None
     first: dict[int, int | None] = {2: None, 3: None, 4: None, 5: None}
     max_min_d = 0

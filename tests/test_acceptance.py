@@ -296,7 +296,7 @@ def test_criterion_10_compactor():
     anomaly = False
     valid = True
     for n in range(1, 9):
-        rep = best_of(n, 50, replace(template, n=n))
+        rep = best_of(replace(template, n=n), 50)
         gaps[n] = rep.gap
         anomaly = anomaly or rep.anomaly
         valid = valid and rep.run.realization.is_valid()

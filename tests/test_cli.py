@@ -82,7 +82,18 @@ def test_table_reports(capsys):
 def test_irregular_list(capsys):
     code, out, _ = run_cli(capsys, "irregular", "--to", "120", "--jobs", "1")
     assert code == 0
-    assert [int(v) for v in out.split()] == [49, 61, 79, 97, 107]
+    assert out == "49\n61\n79\n97\n107\n"
+    # four blocks of n over two processes: the same lines in the same order
+    assert run_cli(capsys, "irregular", "--to", "120", "--jobs", "2") == (0, out, "")
+    code, out, _ = run_cli(capsys, "irregular", "--from", "62", "--to", "97", "--jobs", "1")
+    assert (code, out) == (0, "79\n97\n")
+
+
+def test_irregular_bad_range_is_one_line_error(capsys):
+    for lo, hi in (("10", "5"), ("0", "5")):
+        code, out, err = run_cli(capsys, "irregular", "--from", lo, "--to", hi, "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: need 1 <= n_lo <= n_hi\n"
 
 
 def test_milestones(capsys):
@@ -166,9 +177,11 @@ def test_render_variant_out_of_range(capsys):
 
 
 def test_compact_requires_seed(capsys):
-    code, _, err = run_cli(capsys, "compact", "--n", "2")
-    assert code == 2
-    assert "seed" in err
+    # exactly one of --seed and --seeds: neither, or both, is a one-line error
+    for argv in ([], ["--seed", "1", "--seeds", "3"]):
+        code, out, err = run_cli(capsys, "compact", "--n", "2", *argv)
+        assert (code, out) == (2, "")
+        assert err == "compact requires exactly one of --seed and --seeds\n"
 
 
 def test_compact_single_run(tmp_path, capsys):
@@ -192,10 +205,11 @@ def test_compact_json_packing(tmp_path, capsys):
 
 def test_jobs_below_one_rejected(capsys):
     for jobs in ("0", "-3"):
-        code, out, err = run_cli(capsys, "range", "--from", "1", "--to", "3", "--jobs", jobs)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: jobs must be >= 1") and err.count("\n") == 1
+        for argv in (["range", "--from", "1"], ["irregular"], ["milestones"], ["aspect"]):
+            code, out, err = run_cli(capsys, *argv, "--to", "3", "--jobs", jobs)
+            assert code == 2, argv
+            assert out == ""
+            assert err == f"error: jobs must be >= 1, got {jobs}\n"
 
 
 class RecordingPool:
@@ -225,9 +239,14 @@ def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", "2", "--jobs", "3")
     assert code == 0
     assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
-    assert RecordingPool.sizes == [2]  # span of 2
+    assert RecordingPool.sizes == []  # one block: serial, no pool
+
+    code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", "100", "--jobs", "3")
+    assert code == 0
+    assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, 101))
+    assert RecordingPool.sizes == [3]  # four blocks of at most 32 n, three jobs
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", "2", "--jobs", "3")
+    code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", "100", "--jobs", "3")
     assert code == 0
-    assert RecordingPool.sizes == [2]  # one core: serial, no pool
+    assert RecordingPool.sizes == [3]  # one core: serial, no pool

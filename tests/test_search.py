@@ -10,7 +10,7 @@ from rowpack.quadint import QuadInt
 from rowpack.search import (
     Classification,
     best,
-    irregular_scan,
+    iter_range,
     milestones,
     read_results,
     result_to_json,
@@ -105,27 +105,16 @@ def test_enumerator_min_and_ties_equal_oracle_to_60(oracle_sweep):
         assert enumerated_best(n, 5) == (area, configs), f"n={n}"
 
 
-def test_irregular_scan_first_values():
-    assert irregular_scan(1, 120) == [49, 61, 79, 97, 107]
-
-
-def test_irregular_scan_bad_range():
-    with pytest.raises(ValueError):
-        irregular_scan(10, 5)
-    with pytest.raises(ValueError):
-        irregular_scan(0, 5)
-
-
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_scans_reject_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="^jobs must be >= 1"):
         scan_range(1, 5, jobs=jobs)
     with pytest.raises(ValueError, match="^jobs must be >= 1"):
-        irregular_scan(1, 5, jobs=jobs)
+        iter_range(1, 5, jobs=jobs)  # before the first result is asked for
 
 
 def test_milestones_shape():
-    report = milestones(420)
+    report = milestones(420, results=scan_range(1, 420))
     assert report.even_h_holed == 317
     assert report.first_min_d[2] == 393
     assert report.first_min_d[3] is None
