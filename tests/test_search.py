@@ -105,6 +105,14 @@ def test_enumerator_min_and_ties_equal_oracle_to_60(oracle_sweep):
         assert enumerated_best(n, 5) == (area, configs), f"n={n}"
 
 
+def test_irregular_scan_first_values():
+    # the non-regular n of a range, as `rowpack irregular` filters them
+    results = iter_range(1, 120)
+    assert [r.n for r in results if r.classification is not Classification.REGULAR] == [
+        49, 61, 79, 97, 107,
+    ]
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_scans_reject_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="^jobs must be >= 1"):
