@@ -59,6 +59,7 @@ from .packings import TOL, PackingRealization, max_violation
 _OMEGA = 1.5
 _SKIN = 0.5
 _REACH2 = (2.0 + _SKIN) ** 2
+_MAX_RESTARTS = 20  # random_start's; n <= 25 at slack >= 2.5 never restarts
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +110,8 @@ def random_start(n: int, seed: int, slack: float = 3.0) -> PackingRealization:
 
     The area is slack * best(n).min_area, above 4 as best(1) has area 4.
     The aspect ratio is drawn uniformly from [0.2, 1.0], with the lower end
-    clamped to 4/area so the box always has room for one circle.
+    clamped to 4/area so the box always has room for one circle.  A circle
+    that fails 500 draws restarts the sample; too many restarts is an error.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -123,14 +125,9 @@ def random_start(n: int, seed: int, slack: float = 3.0) -> PackingRealization:
 
     pts = np.empty((n, 2))
     placed = 0
-    attempts = 0
+    restarts = 0
     stuck = 0
     while placed < n:
-        attempts += 1
-        if attempts > 1_000_000:
-            raise ValueError(
-                f"could not place {n} circles after 1e6 attempts; increase slack"
-            )
         x = rng.uniform(1.0, width - 1.0)
         y = rng.uniform(1.0, height - 1.0)
         if placed:
@@ -138,8 +135,10 @@ def random_start(n: int, seed: int, slack: float = 3.0) -> PackingRealization:
             if d2.min() < 4.0:
                 stuck += 1
                 if stuck > 500:  # earlier circles boxed this one out: start over
-                    placed = 0
-                    stuck = 0
+                    if restarts == _MAX_RESTARTS:
+                        raise ValueError(f"could not place {n} circles; increase slack")
+                    restarts += 1
+                    placed = stuck = 0
                 continue
         pts[placed] = (x, y)
         placed += 1

@@ -20,7 +20,7 @@ infinite violation) and at least 1 - 1e-9 radii from each wall, so x*k and
 from __future__ import annotations
 
 from math import sqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .packings import PackingRealization
 from .search import SearchResult
@@ -76,18 +76,17 @@ def to_svg(realization: PackingRealization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def aspect_scatter_csv(results: Iterable[SearchResult]) -> str:
-    """Rows (n, aspect) for purely hexagonal optima, plus the 2 - sqrt(3) row.
+def aspect_scatter_csv(results: Iterable[SearchResult]) -> Iterator[str]:
+    """Yield "n,aspect" lines for pure hex optima, then the 2 - sqrt(3) limit row.
 
     results must come in ascending n, as `search.iter_range` streams them;
-    rows are written in the order given.  An n is included only when every
-    argmin configuration is a pure hex block (h >= 2, no square rows):
-    square-grid optima and hybrid ties would make the best aspect ratio
-    ambiguous.
+    each line is yielded, newline included, as its result arrives.  An n is
+    included only when every argmin configuration is a pure hex block
+    (h >= 2, no square rows): square-grid optima and hybrid ties would make
+    the best aspect ratio ambiguous.
     """
-    lines = ["n,aspect"]
+    yield "n,aspect\n"
     for result in results:
         if all(c.h >= 2 and c.s == 0 for c in result.argmin):
-            lines.append(f"{result.n},{_f(result.aspect_ratio())}")
-    lines.append(f"limit,{_f(2.0 - sqrt(3.0))}")
-    return "\n".join(lines) + "\n"
+            yield f"{result.n},{_f(result.aspect_ratio())}\n"
+    yield f"limit,{_f(2.0 - sqrt(3.0))}\n"

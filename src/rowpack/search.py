@@ -440,6 +440,6 @@ def read_results(path) -> list[SearchResult]:
                 continue
             try:
                 out.append(result_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"line {lineno}: corrupt results line ({exc})") from exc
     return out

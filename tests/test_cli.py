@@ -181,7 +181,28 @@ def test_compact_requires_seed(capsys):
     for argv in ([], ["--seed", "1", "--seeds", "3"]):
         code, out, err = run_cli(capsys, "compact", "--n", "2", *argv)
         assert (code, out) == (2, "")
-        assert err == "compact requires exactly one of --seed and --seeds\n"
+        assert err == "error: compact requires exactly one of --seed and --seeds\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "5"],
+    ["range", "--from", "1", "--to", "3", "--jobs", "1"],
+    ["table", "--which", "1"],
+    ["irregular", "--to", "50", "--jobs", "1"],
+    ["milestones", "--to", "50", "--jobs", "1"],
+    ["aspect", "--to", "50", "--jobs", "1"],
+    ["theory"],
+    ["compact", "--n", "2", "--seed", "1"],
+    ["render", "--n", "5"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert str(missing) in err
+    if argv[0] != "compact":  # compact prints its report before it writes --out
+        assert out == ""
 
 
 def test_compact_single_run(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_rejects_invalid_realization():
 
 def test_aspect_scatter_rules():
     results = scan_range(1, 30)
-    csv = aspect_scatter_csv(results)
+    csv = "".join(aspect_scatter_csv(results))
     lines = csv.splitlines()
     assert lines[0] == "n,aspect"
     assert lines[-1] == f"limit,{2 - math.sqrt(3):.6f}"
@@ -56,7 +56,7 @@ def test_aspect_scatter_rules():
 
 def test_aspect_scatter_row_count_matches_hex_only_optima():
     results = scan_range(1, 60)
-    csv_rows = len(aspect_scatter_csv(results).splitlines()) - 2  # header + limit
+    csv_rows = len("".join(aspect_scatter_csv(results)).splitlines()) - 2  # header + limit
     hex_only = sum(
         1 for r in results if all(c.h >= 2 and c.s == 0 for c in r.argmin)
     )
@@ -65,8 +65,24 @@ def test_aspect_scatter_row_count_matches_hex_only_optima():
 
 def test_scatter_includes_best_49_once():
     results = [best(49)]
-    csv = aspect_scatter_csv(results)
+    csv = "".join(aspect_scatter_csv(results))
     assert csv.count("49,") == 1  # ties share a single shape, one row
+
+
+def test_aspect_scatter_is_lazy():
+    # the header is out before the first result is taken, one line per result after
+    taken = []
+
+    def results():
+        for n in (25, 49):
+            taken.append(n)
+            yield best(n)
+
+    lines = aspect_scatter_csv(results())
+    assert next(lines) == "n,aspect\n" and taken == []
+    assert next(lines).startswith("25,") and taken == [25]
+    assert next(lines).startswith("49,") and taken == [25, 49]
+    assert next(lines).startswith("limit,")
 
 
 @pytest.mark.parametrize("cfg, digest", [

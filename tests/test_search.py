@@ -232,6 +232,19 @@ def test_results_corrupt_line_names_line_number(tmp_path):
         read_results(path)
 
 
+@pytest.mark.parametrize("bad", [
+    [], {"n": None}, {"argmin": 5}, {"area": "x"}, {"argmin": [[1, 2]]},
+], ids=["list", "n-null", "argmin-int", "area-str", "argmin-pair"])
+def test_results_line_of_wrong_shape_names_line_number(tmp_path, bad):
+    # valid JSON of the wrong shape, after one good line
+    path = tmp_path / "bad.jsonl"
+    line = result_to_json(best(12))
+    blob = bad if isinstance(bad, list) else {**line, **bad}
+    path.write_text(json.dumps(result_to_json(best(2))) + "\n" + json.dumps(blob) + "\n")
+    with pytest.raises(ValueError, match="line 2: corrupt results line"):
+        read_results(path)
+
+
 def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
     # n = 79 has one argmin member, with d = 1 and area 66 + 132*sqrt(3):
     # must_hole, min_d 1, 1 shape
