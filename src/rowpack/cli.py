@@ -1,21 +1,27 @@
 """Command-line surface: searches, range scans, reproduction reports, tools.
 
-Range commands (`range`, `irregular`, `milestones`, `aspect`) each reduce
-one `search.iter_range` stream, which fans out over processes (--jobs,
-default the core count; at most one process per core and per block of
-`search.BLOCK` n); parallel and serial runs write byte-identical files.
-`_emit` writes every output as it is produced: `range`, `irregular` and
-`aspect` write each line as its block of n arrives, so memory stays flat
-(31 MB peak RSS over 1..300000 at --jobs 1, as for `milestones`).  `main`
-reports every failure, an unwritable --out included, as one `error:` line
-with exit status 2.  Compactor commands require exactly one of --seed and
---seeds.  Exit status is nonzero whenever a reproduction report falls short.
+Range commands each reduce one stream that fans out over processes
+(--jobs, default the core count; at most one process per core and per
+block of `search.BLOCK` n); parallel and serial runs write byte-identical
+files.  `range` reads `search.iter_lines`, whose workers send back each n's
+class and finished results line, so the parent only counts and writes;
+`irregular`, `milestones` and `aspect` reduce `search.iter_range`, whose
+workers send back SearchResults.  `_emit` writes every output as it is
+produced: `range`, `irregular` and `aspect` write each line as its block of
+n arrives, so memory stays flat (31 MB peak RSS over 1..300000 at --jobs 1,
+as for `milestones`).  `main` checks that --out can be written before the
+command runs, without opening it, and reports every failure as one
+`error:` line with exit status 2.  Compactor commands require exactly one
+of --seed and --seeds.  Exit status is nonzero whenever a reproduction
+report falls short.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from typing import Iterable
@@ -36,13 +42,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_range(args: argparse.Namespace) -> int:
-    results = search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs)
+    pairs = search.iter_lines(args.n_lo, args.n_hi, jobs=args.jobs)
     counts = {"regular": 0, "may_hole": 0, "must_hole": 0}
 
     def lines():
-        for r in results:
-            counts[r.classification.value] += 1
-            yield search.result_to_line(r)
+        for cls, line in pairs:
+            counts[cls] += 1
+            yield line
 
     _emit(lines(), args.out)
     summary = {"from": args.n_lo, "to": args.n_hi, "counts": counts,
@@ -171,9 +177,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that open(path, "w") would, without opening path, so
+    an unwritable --out fails before the work and a failed command leaves an
+    existing file as it was."""
+    parent = os.path.dirname(path) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(parent).st_mode):  # ENOENT or ENOTDIR on the way
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not (os.access(path, os.W_OK) if os.path.exists(path)
+                  else os.access(parent, os.W_OK | os.X_OK)):  # to create an entry
+            code = errno.EACCES
+        else:
+            return
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,7 +78,8 @@ again for every few n; a large one loosens the cell test and the w cut.
 
 Range scans may fan out over processes, at most one per core and per
 block; results are streamed in n order, so parallel and serial runs
-produce identical output.
+produce identical output.  `iter_lines` formats each results line in the
+process that found it, so its workers send back lines, not SearchResults.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import improve
 from .packings import ClassConfig, RowPattern
@@ -287,28 +288,51 @@ def best(n: int) -> SearchResult:
 def iter_range(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[SearchResult]:
     """best(n) for every n in [n_lo, n_hi], streamed in ascending n order.
 
-    The only code that runs a range: `scan_range`, `milestones` and the CLI's
-    range commands all reduce this stream.  The range is cut into blocks of
-    BLOCK n; min(jobs, core count, block count) processes map them in order,
-    so a one-block range never starts a pool.  Arguments are checked here,
-    before the first result is asked for: jobs < 1 is a ValueError.
+    `scan_range`, `milestones` and the CLI's `irregular`, `milestones` and
+    `aspect` reduce this stream; `range` reads `iter_lines`.  The range is
+    cut into blocks of BLOCK n; min(jobs, core count, block count) processes
+    map them in order, so a one-block range never starts a pool.  Arguments
+    are checked here, before the first result is asked for: jobs < 1 is a
+    ValueError.
     """
+    return _stream(_block, *_blocks(n_lo, n_hi, jobs))
+
+
+def iter_lines(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[tuple[str, str]]:
+    """(class, results line) for every n in [n_lo, n_hi], in ascending n order.
+
+    `iter_range` with each result formatted by `result_to_line` in the
+    process that found it, so a pool's workers send back finished lines,
+    not SearchResults.  The same checks, blocks and pool sizing.
+    """
+    return _stream(_block_lines, *_blocks(n_lo, n_hi, jobs))
+
+
+def _blocks(n_lo: int, n_hi: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
+    """The checked range's blocks of BLOCK n, and how many processes map them."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     blocks = [(a, min(a + BLOCK - 1, n_hi)) for a in range(n_lo, n_hi + 1, BLOCK)]
-    return _stream(blocks, min(jobs, os.cpu_count() or 1, len(blocks)))
+    return blocks, min(jobs, os.cpu_count() or 1, len(blocks))
 
 
-def _stream(blocks: list[tuple[int, int]], jobs: int) -> Iterator[SearchResult]:
+def _stream(block_fn: Callable[[tuple[int, int]], list], blocks: list[tuple[int, int]],
+            jobs: int) -> Iterator:
+    """block_fn's items over the blocks, in order; block_fn is module-level,
+    so a pool can send it to its workers."""
     if jobs <= 1:
         for block in blocks:
-            yield from _block(block)
+            yield from block_fn(block)
         return
     with multiprocessing.Pool(jobs) as pool:
-        for results in pool.imap(_block, blocks):
-            yield from results
+        for items in pool.imap(block_fn, blocks):
+            yield from items
+
+
+def _block_lines(bounds: tuple[int, int]) -> list[tuple[str, str]]:
+    return [(r.classification.value, result_to_line(r)) for r in _block(bounds)]
 
 
 def scan_range(n_lo: int, n_hi: int, jobs: int = 1) -> list[SearchResult]:
@@ -384,14 +408,16 @@ def result_to_json(result: SearchResult) -> dict:
         "argmin": [c.to_json() for c in result.argmin],
     }
     if result.classification is not Classification.REGULAR:
-        line["improvement"] = _improvement_json(result)
+        report = _improvement(result)
+        line["improvement"] = report.to_json() if report else None
     return line
 
 
-def _improvement_json(result: SearchResult) -> dict | None:
+def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
+    """The move on the first holed argmin member that has one, if any."""
     for cfg in result.argmin:
         if cfg.d >= 1 and improve.applicable_move(cfg) is not improve.MoveKind.NONE:
-            return improve.improved_metrics(cfg).to_json()
+            return improve.improved_metrics(cfg)
     return None
 
 
@@ -421,8 +447,37 @@ def result_from_json(obj: dict) -> SearchResult:
 
 
 def result_to_line(result: SearchResult) -> str:
-    """One line of a results file: compact JSON, newline-terminated."""
-    return json.dumps(result_to_json(result), separators=(",", ":")) + "\n"
+    """One line of a results file: `result_to_json` as compact JSON,
+    newline-terminated.
+
+    Formatted directly, with no dict and no `json.dumps`, as the line costs
+    more than the search: ints print by str and floats by repr, as json
+    prints finite floats, and the enum values are plain ASCII, so nothing
+    needs escaping.  The floats are those `result_to_json` computes.
+    """
+    rep = result.argmin[0]
+    p, q = result.min_area.p, result.min_area.q
+    width, height = rep.width_units, rep.height()
+    area = result.min_area.to_float()  # the float ClassConfig.density divides by
+    cls = result.classification
+    members = ",".join(
+        f'{{"w":{c.w},"h":{c.h},"pattern":"{c.pattern.value}","s":{c.s},'
+        f'"s_minus":{c.s_minus},"d":{c.d}}}' for c in result.argmin)
+    if cls is Classification.REGULAR:
+        tail = ""
+    elif (m := _improvement(result)) is None:
+        tail = ',"improvement":null'
+    else:
+        tail = (f',"improvement":{{"move":"{m.move.value}","delta":{m.delta!r},'
+                f'"new_width":{m.new_width!r},"new_area":{m.new_area!r},'
+                f'"new_density":{m.new_density!r},'
+                f'"rattler_note":{"true" if m.rattler_note else "false"},'
+                f'"remaining_holes":{m.remaining_holes}}}')
+    return (f'{{"n":{result.n},"area":{{"p":{p},"q":{q},"float":{area!r}}},'
+            f'"width":{width},"height":{{"p":{height.p},"q":{height.q}}},'
+            f'"density":{result.n * math.pi / area!r},"aspect":{rep.aspect_ratio()!r},'
+            f'"class":"{cls.value}","min_d":{result.min_d},"shapes":{result.shape_count},'
+            f'"argmin":[{members}]{tail}}}\n')
 
 
 def write_results(results: Iterable[SearchResult], path) -> None:

@@ -48,16 +48,23 @@ def test_range_summary_and_file(tmp_path, capsys):
 
 
 def test_range_parallel_bytes_match_serial(tmp_path, capsys):
+    # four blocks of n, with irregular n in three: workers send back finished
+    # lines and classes, and the parent writes and counts them in n order
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
-    run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "1", "--out", str(serial))
-    run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "3", "--out", str(parallel))
+    _, sum1, _ = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "1",
+                         "--out", str(serial))
+    _, sum2, _ = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "3",
+                         "--out", str(parallel))
     assert serial.read_bytes() == parallel.read_bytes()
+    assert sum1 == sum2
     # streamed to stdout, the lines are the file's bytes, in the same order
-    _, out1, err1 = run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "1")
-    _, out2, err2 = run_cli(capsys, "range", "--from", "40", "--to", "90", "--jobs", "2")
+    _, out1, err1 = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "1")
+    _, out2, err2 = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "2")
     assert out1 == out2 == serial.read_text()
-    assert err1 == err2
+    assert err1 == err2 == sum1
+    classes = [json.loads(line)["class"] for line in out1.splitlines()]
+    assert json.loads(err1)["irregular"] == sum(c != "regular" for c in classes) > 0
 
 
 def test_range_empty_errors(capsys):
@@ -200,9 +207,19 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out", str(missing))
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
-    assert str(missing) in err
-    if argv[0] != "compact":  # compact prints its report before it writes --out
-        assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    assert out == ""  # checked before the work: compact prints its report first
+
+
+def test_failed_command_leaves_existing_out_unchanged(tmp_path, capsys):
+    out_path = tmp_path / "f"
+    out_path.write_text("keep\n")
+    code, out, err = run_cli(capsys, "render", "--n", "5", "--variant", "9", "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: variant must be in 0..0\n")
+    assert out_path.read_text() == "keep\n"
+    code, out, err = run_cli(capsys, "search", "--n", "5", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_compact_single_run(tmp_path, capsys):

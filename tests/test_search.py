@@ -3,11 +3,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naive_oracle import _area, enumerate_members, enumerated_best, members_within
 from rowpack.packings import ClassConfig, RowPattern
 from rowpack.quadint import QuadInt
 from rowpack.search import (
+    BLOCK,
     Classification,
     best,
     iter_range,
@@ -179,6 +181,45 @@ def test_scan_5001_to_20000_golden():
     assert hashlib.sha256(jsonl.encode()).hexdigest() == (
         "73e6e79d8bd0da6ec744dcad37401c37a6bd313c7567b240c4c8ce5cfb9fd1df"
     )
+
+
+def json_line(result) -> str:
+    """The results line as json.dumps writes it: the oracle for result_to_line."""
+    return json.dumps(result_to_json(result), separators=(",", ":")) + "\n"
+
+
+def test_result_to_line_equals_json_dumps_1_to_5000():
+    for r in scan_range(1, 5000):
+        assert result_to_line(r) == json_line(r), r.n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(5001, 100000 - BLOCK + 1))
+def test_result_to_line_equals_json_dumps_on_a_block(n_lo):
+    for r in scan_range(n_lo, n_lo + BLOCK - 1):
+        assert result_to_line(r) == json_line(r), r.n
+
+
+@pytest.mark.parametrize("n, cls, min_d, improvement", [
+    (12, "regular", 0, "absent"),  # three square-grid ties, h = 0
+    (49, "may_hole", 0, "odd_h_side_relocation"),
+    (79, "must_hole", 1, "odd_h_side_relocation"),
+    (121, "may_hole", 0, None),  # odd h = 9 short rows: no published move
+    (191, "must_hole", 1, None),  # even h = 8
+    (8562, "must_hole", 6, "odd_h_side_relocation"),  # six holes
+])
+def test_result_to_line_named_cases(n, cls, min_d, improvement):
+    r = best(n)
+    line = result_to_line(r)
+    assert line == json_line(r)
+    blob = json.loads(line)
+    assert (blob["class"], blob["min_d"]) == (cls, min_d)
+    if improvement == "absent":
+        assert "improvement" not in blob
+    elif improvement is None:
+        assert line.endswith(',"improvement":null}\n')
+    else:
+        assert blob["improvement"]["move"] == improvement
 
 
 def test_milestone_411_argmin():
