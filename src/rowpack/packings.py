@@ -28,7 +28,7 @@ Geometry conventions (canonical representatives, one per congruence class):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
@@ -152,7 +152,12 @@ class PackingRealization:
 
 @dataclass(frozen=True, slots=True)
 class ClassConfig:
-    """One member of the search class.  Validated on construction."""
+    """One member of the search class.  Validated on construction.
+
+    n, the circle count w*(h + s) - h_minus - s_minus - d, and width_units,
+    the rectangle width in radii (2w + 1 for a full hex block, else 2w), are
+    derived once; equality, hashing and repr use the six parameters only.
+    """
 
     w: int
     h: int
@@ -160,6 +165,8 @@ class ClassConfig:
     s: int = 0
     s_minus: int = 0
     d: int = 0
+    n: int = field(init=False, repr=False, compare=False)
+    width_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w, h, s, s_minus, d = self.w, self.h, self.s, self.s_minus, self.d
@@ -187,19 +194,18 @@ class ClassConfig:
                 raise ValueError("a monovacancy is an interior hole (h >= 3, w >= 3)")
             if d > self.hole_capacity():
                 raise ValueError(f"{d} holes exceed interior capacity")
-        if self.n < 1:
+        n = w * (h + s) - pattern.h_minus(h) - s_minus - d
+        if n < 1:
             raise ValueError("empty configuration")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "width_units",
+                           2 * w + 1 if h >= 2 and pattern is RowPattern.FULL else 2 * w)
 
     # counting --------------------------------------------------------------
 
     @property
     def h_minus(self) -> int:
         return self.pattern.h_minus(self.h)
-
-    @property
-    def n(self) -> int:
-        """Circle count: w*(h+s) - h_minus - s_minus - d."""
-        return self.w * (self.h + self.s) - self.h_minus - self.s_minus - self.d
 
     def _hex_row(self, k: int) -> tuple[float, int]:
         """(x of the first center, circle count) of hex row k, 0-based bottom up."""
@@ -224,13 +230,6 @@ class ClassConfig:
         return (self.h - 2) * (self.w - 3) + self.pattern.full_interior_rows(self.h, self.s)
 
     # exact dimensions -------------------------------------------------------
-
-    @property
-    def width_units(self) -> int:
-        """Rectangle width in radii: 2w + 1 for a full hex block, else 2w."""
-        if self.h >= 2 and self.pattern is RowPattern.FULL:
-            return 2 * self.w + 1
-        return 2 * self.w
 
     def height(self) -> QuadInt:
         """Rectangle height: (2 + 2s) + (h-1)*sqrt(3); plain 2s for h=0."""
@@ -320,14 +319,8 @@ class ClassConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassConfig":
-        return cls(
-            w=int(obj["w"]),
-            h=int(obj["h"]),
-            pattern=RowPattern(obj["pattern"]),
-            s=int(obj["s"]),
-            s_minus=int(obj["s_minus"]),
-            d=int(obj["d"]),
-        )
+        return cls(int(obj["w"]), int(obj["h"]), RowPattern(obj["pattern"]),
+                   int(obj["s"]), int(obj["s_minus"]), int(obj["d"]))
 
 
 def hybrid_pair(k: int) -> tuple[ClassConfig, ClassConfig]:

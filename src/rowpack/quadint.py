@@ -6,7 +6,11 @@ through floating point.  Because sqrt(3) is irrational the representation
 is unique: two values are equal iff both components match.
 
 Python integers are arbitrary precision, so the products used by the sign
-test cannot overflow (the search never exceeds ~2^40 per component anyway).
+test cannot overflow, whatever the size of the components.  The search's
+float filter (see rowpack.search) assumes only that the values it converts
+have p, q >= 0 and lie below the float range (about 1.8e308); their floats
+are then within a few ulp of the exact values, relative to those values,
+at any component size.
 """
 from __future__ import annotations
 

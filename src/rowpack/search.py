@@ -64,22 +64,44 @@ No tie of a final minimum is lost: each cut drops only members whose area
 is strictly above cap(n), and cap(n) never falls below the final minimum;
 caps lowered later only widen the gaps the cuts relied on.
 
+The float filter.  Most exact comparisons would only confirm that an area
+is above a cap: 174k of the scatter's 194k over 1..5000 at BLOCK = 32.
+Beside each cap the sieve keeps capf = fl(p + q*sqrt(3)), set from the
+same pair whenever the cap changes, and it computes each shape's area af
+the same way, once.  As p, q >= 0, each float is within 4u of its value,
+u = 2^-53: one rounding each for sqrt(3), the product and the sum, and one
+for an integer beyond 2^53.  So capf < af*(1 - _MARGIN) proves cap < area
+once _MARGIN exceeds about 10u, and _MARGIN = 1e-12 is some 900 times
+that.  Such an n is skipped by the scatter.  The w cut stops when C's
+float is below af*(1 - _MARGIN), and goes on without an exact test when it
+is above af*(1 + _MARGIN).  `_bounds` skips an n whose cap float is below
+the running C's by that factor, or whose float m(n), capf - 2*sqrt(3)*n,
+is below the running M's by more than _MARGIN*4*n_hi.  m(n) cancels, but
+each of its terms is at most 4*n_hi (every cap is at most 4n), so each
+float m(n) is within about 8u*4*n_hi of its value.  Every other comparison
+takes the exact path: pair equality, then `quadint.sign`.  So every cap
+lowering and every tie is decided exactly, and the float only skips.  Past
+about 1.8e308 an area has no float, and the conversion raises
+OverflowError.
+
 Square grids (w x s, w >= s) join the ties after the walk.  Their area
 4ws is at least 4n, the first cap, with equality only at n = ws; every
 hex member has q > 0, so grids tie exactly the caps with q = 0, which no
 hex member lowered.
 
-BLOCK = 32 was measured, not derived.  On one vCPU of a shared 2-vCPU VM
+BLOCK = 64 was measured, not derived.  On one vCPU of a shared 2-vCPU VM
 (Python 3.11.7), median of 9 interleaved runs, scan_range(1, 5000) takes
-0.20, 0.21, 0.23 and 0.28 s at 16, 32, 64 and 128, and 5001..20000 takes
-0.66, 0.66, 0.74 and 0.91 s.  In alternating runs 16 beat 32 in 17 of 21
-on 1..5000 but lost 9 of 15 on 5001..20000.  A small block walks the cells
-again for every few n; a large one loosens the cell test and the w cut.
+0.080, 0.071, 0.068 and 0.069 s at 16, 32, 64 and 128, and 5001..20000
+takes 0.288, 0.243, 0.215 and 0.209 s.  In 21 alternating runs 64 beat 32
+in 16 on 1..5000 and in 19 on 5001..20000; it beat 128 in 15 on 1..5000
+but only in 8 on 5001..20000.  A small block walks the cells again for
+every few n; a large one loosens the cell test and the w cut.
 
 Range scans may fan out over processes, at most one per core and per
 block; results are streamed in n order, so parallel and serial runs
-produce identical output.  `iter_lines` formats each results line in the
-process that found it, so its workers send back lines, not SearchResults.
+produce identical output.  A pool task carries several blocks (see
+`_stream`).  `iter_lines` formats each results line in the process that
+found it, so its workers send back lines, not SearchResults.
 """
 from __future__ import annotations
 
@@ -115,18 +137,26 @@ class SearchResult:
     shape_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ds = [c.d for c in self.argmin]  # min() rejects an empty argmin
-        min_d = min(ds)
+        if not self.argmin:
+            raise ValueError("argmin must not be empty")
+        min_d = max_d = self.argmin[0].d
+        shapes = set()
+        for c in self.argmin:
+            d = c.d
+            if d < min_d:
+                min_d = d
+            elif d > max_d:
+                max_d = d
+            shapes.add((c.width_units, c.h, c.s))  # (h, s) fixes the height
         if min_d >= 1:
             cls = Classification.MUST_HAVE_HOLE
-        elif max(ds) == 0:
+        elif max_d == 0:
             cls = Classification.REGULAR
         else:
             cls = Classification.MAY_HAVE_HOLE
-        shapes = len({(c.width_units, c.h, c.s) for c in self.argmin})  # (h, s) fixes the height
         object.__setattr__(self, "classification", cls)
         object.__setattr__(self, "min_d", min_d)
-        object.__setattr__(self, "shape_count", shapes)
+        object.__setattr__(self, "shape_count", len(shapes))
 
     @property
     def width(self) -> int:
@@ -143,7 +173,12 @@ class SearchResult:
 
 
 # n per block of a range scan; the module docstring gives the measurement
-BLOCK = 32
+BLOCK = 64
+
+# relative margin of the float filter; the module docstring bounds its error
+_MARGIN = 1e-12
+_SQRT3 = math.sqrt(3)
+_TWO_SQRT3 = 2 * _SQRT3
 
 
 @lru_cache(maxsize=4096)
@@ -169,9 +204,12 @@ def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
     size = n_hi - n_lo + 1
     capp = [4 * n for n in range(n_lo, n_hi + 1)]  # the one-row strip (n, 0, FULL, s=1)
     capq = [0] * size
+    capf = [float(c) for c in capp]  # capp + capq*sqrt(3) in floats, for the filter
+    low, high = 1 - _MARGIN, 1 + _MARGIN
     ties: list[list[tuple]] = [[] for _ in range(size)]
 
-    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq)
+    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq, capf)
+    cf = capf[ic]
     # h0 minimises (to leading order) the cell bound (2n + h - 1)*H(h, 0)/h at
     # the block's middle n; h walks up from h0, then down from h0 - 1
     h0 = max(2, round(math.sqrt((4 / math.sqrt(3) - 2) * ((n_lo + n_hi) // 2))))
@@ -205,23 +243,28 @@ def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
                             break  # lo grows with w
                         width = 2 * w + 1 if full else 2 * w
                         p, q = width * hp, width * hq
-                        if _sign(p - cp, q - cq) > 0:
+                        af = p + q * _SQRT3
+                        cut = af * low  # a cap float below this is certainly below the area
+                        if cf < cut or (cf <= af * high and _sign(p - cp, q - cq) > 0):
                             break  # area grows with w
                         if lo < first:
                             lo = first
                         for i in range(lo - n_lo, (top if top < n_hi else n_hi) - n_lo + 1):
+                            if capf[i] < cut:
+                                continue
                             ci, di = capp[i], capq[i]
                             if p != ci or q != di:
                                 # area <= C by the w cut, so below any cap equal to C
                                 if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
                                     continue
-                                capp[i], capq[i], ties[i] = p, q, []
+                                capp[i], capq[i], capf[i], ties[i] = p, q, af, []
                             ties[i].append((w, h, pattern, s, holes))
                         w += 1
                 # M and C move only if the cell lowered the cap at their argmax
                 if (capp[ic] != cp or capq[ic] != cq
                         or capp[im] != mp or capq[im] != mq + 2 * (n_lo + im)):
-                    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq)
+                    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq, capf)
+                    cf = capf[ic]
                 s += 1
             # Cell (h, 0) is dead for every n: stop once F cannot fall further
             # away from h0 (convexity, see the module docstring).
@@ -240,19 +283,32 @@ def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
     return capp, capq, ties
 
 
-def _bounds(n_lo: int, capp: list[int], capq: list[int]) -> tuple[int, int, int, int, int, int]:
+def _bounds(n_lo: int, capp: list[int], capq: list[int],
+            capf: list[float]) -> tuple[int, int, int, int, int, int]:
     """(M_p, M_q, C_p, C_q, i_M, i_C): the block maxima M of cap(n) - 2*sqrt(3)*n
-    and C of cap(n), and the index of an n holding each."""
-    mp, mq = cp, cq = capp[0], capq[0]
-    mq -= 2 * n_lo
-    im = ic = 0
-    for i in range(1, len(capp)):
+    and C of cap(n), and the index of an n holding each.
+
+    An n whose float cap, or float m(n), is certainly not above the running
+    maximum is skipped; every other n is compared exactly.
+    """
+    last = len(capp) - 1
+    n = n_lo + last
+    mp, mq = cp, cq = capp[last], capq[last]
+    mq -= 2 * n
+    im = ic = last
+    cf = capf[last]
+    mf = cf - _TWO_SQRT3 * n
+    low, tol = 1 - _MARGIN, _MARGIN * 4 * n  # every cap is at most 4n
+    # caps mostly grow with n, so a walk down meets C early
+    for i in range(last - 1, -1, -1):
+        f = capf[i]
         p, q = capp[i], capq[i]
-        if _sign(p - cp, q - cq) > 0:
-            cp, cq, ic = p, q, i
-        q -= 2 * (n_lo + i)
-        if _sign(p - mp, q - mq) > 0:
-            mp, mq, im = p, q, i
+        if f >= cf * low and (p != cp or q != cq) and _sign(p - cp, q - cq) > 0:
+            cp, cq, ic, cf = p, q, i, f
+        n = n_lo + i
+        f -= _TWO_SQRT3 * n
+        if f >= mf - tol and _sign(p - mp, q - 2 * n - mq) > 0:
+            mp, mq, im, mf = p, q - 2 * n, i, f
     return mp, mq, cp, cq, im, ic
 
 
@@ -272,9 +328,10 @@ def _block(bounds: tuple[int, int]) -> list[SearchResult]:
     results = []
     for i, shapes in enumerate(ties):
         n = n_lo + i
-        argmin = tuple(sorted((ClassConfig(*f) for f in _splits(n, shapes)),
-                              key=ClassConfig.sort_key))
-        results.append(SearchResult(n, QuadInt(capp[i], capq[i]), argmin))
+        argmin = [ClassConfig(*f) for f in _splits(n, shapes)]
+        if len(argmin) > 1:
+            argmin.sort(key=ClassConfig.sort_key)
+        results.append(SearchResult(n, QuadInt(capp[i], capq[i]), tuple(argmin)))
     return results
 
 
@@ -321,13 +378,15 @@ def _blocks(n_lo: int, n_hi: int, jobs: int) -> tuple[list[tuple[int, int]], int
 def _stream(block_fn: Callable[[tuple[int, int]], list], blocks: list[tuple[int, int]],
             jobs: int) -> Iterator:
     """block_fn's items over the blocks, in order; block_fn is module-level,
-    so a pool can send it to its workers."""
+    so a pool can send it to its workers.  Each pool task carries about a
+    sixteenth of a worker's share of the blocks, so the parent's cost per
+    task is paid a few dozen times, not once per block."""
     if jobs <= 1:
         for block in blocks:
             yield from block_fn(block)
         return
     with multiprocessing.Pool(jobs) as pool:
-        for items in pool.imap(block_fn, blocks):
+        for items in pool.imap(block_fn, blocks, max(1, len(blocks) // (16 * jobs))):
             yield from items
 
 
@@ -435,8 +494,9 @@ def result_from_json(obj: dict) -> SearchResult:
     )
     n, p, q = result.n, result.min_area.p, result.min_area.q
     for c in result.argmin:
-        width, height = c.width_units, c.height()
-        if c.n != n or width * height.p != p or width * height.q != q:
+        width, h = c.width_units, c.h
+        hp, hq = (2 * c.s, 0) if h == 0 else (2 + 2 * c.s, h - 1)  # ClassConfig.height
+        if c.n != n or width * hp != p or width * hq != q:
             raise ValueError(f"argmin member {c.to_json()} does not have n = {n} "
                              f"and area {p} + {q}*sqrt(3)")
     for key, derived in (("class", result.classification.value),

@@ -48,19 +48,22 @@ def test_range_summary_and_file(tmp_path, capsys):
 
 
 def test_range_parallel_bytes_match_serial(tmp_path, capsys):
-    # four blocks of n, with irregular n in three: workers send back finished
+    # four blocks of n, each with irregular n: workers send back finished
     # lines and classes, and the parent writes and counts them in n order
+    from rowpack.search import BLOCK
+
+    hi = str(40 + 3 * BLOCK + BLOCK // 2)
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
-    _, sum1, _ = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "1",
+    _, sum1, _ = run_cli(capsys, "range", "--from", "40", "--to", hi, "--jobs", "1",
                          "--out", str(serial))
-    _, sum2, _ = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "3",
+    _, sum2, _ = run_cli(capsys, "range", "--from", "40", "--to", hi, "--jobs", "3",
                          "--out", str(parallel))
     assert serial.read_bytes() == parallel.read_bytes()
     assert sum1 == sum2
     # streamed to stdout, the lines are the file's bytes, in the same order
-    _, out1, err1 = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "1")
-    _, out2, err2 = run_cli(capsys, "range", "--from", "40", "--to", "140", "--jobs", "2")
+    _, out1, err1 = run_cli(capsys, "range", "--from", "40", "--to", hi, "--jobs", "1")
+    _, out2, err2 = run_cli(capsys, "range", "--from", "40", "--to", hi, "--jobs", "2")
     assert out1 == out2 == serial.read_text()
     assert err1 == err2 == sum1
     classes = [json.loads(line)["class"] for line in out1.splitlines()]
@@ -90,7 +93,7 @@ def test_irregular_list(capsys):
     code, out, _ = run_cli(capsys, "irregular", "--to", "120", "--jobs", "1")
     assert code == 0
     assert out == "49\n61\n79\n97\n107\n"
-    # four blocks of n over two processes: the same lines in the same order
+    # two blocks of n over two processes: the same lines in the same order
     assert run_cli(capsys, "irregular", "--to", "120", "--jobs", "2") == (0, out, "")
     code, out, _ = run_cli(capsys, "irregular", "--from", "62", "--to", "97", "--jobs", "1")
     assert (code, out) == (0, "79\n97\n")
@@ -251,9 +254,11 @@ def test_jobs_below_one_rejected(capsys):
 
 
 class RecordingPool:
-    """Stands in for multiprocessing.Pool: records the size asked for, starts nothing."""
+    """Stands in for multiprocessing.Pool: records the size and the imap
+    chunksize asked for, starts nothing."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, processes):
         RecordingPool.sizes.append(processes)
@@ -264,7 +269,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, items):
+    def imap(self, fn, items, chunksize=1):
+        RecordingPool.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -273,18 +279,29 @@ def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
 
     monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", "2", "--jobs", "3")
     assert code == 0
     assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2]
     assert RecordingPool.sizes == []  # one block: serial, no pool
 
-    code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", "100", "--jobs", "3")
+    four = 3 * search.BLOCK + 4  # four blocks, the last of 4 n
+    code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", str(four), "--jobs", "3")
     assert code == 0
-    assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, 101))
-    assert RecordingPool.sizes == [3]  # four blocks of at most 32 n, three jobs
+    assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, four + 1))
+    assert RecordingPool.sizes == [3]  # four blocks, three jobs
+    assert RecordingPool.chunksizes == [1]
+
+    # 100 blocks over two jobs: tasks of 100 // 32 = 3 blocks, lines still in n order
+    hundred = 100 * search.BLOCK
+    code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", str(hundred), "--jobs", "2")
+    assert code == 0
+    assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, hundred + 1))
+    assert RecordingPool.sizes == [3, 2]
+    assert RecordingPool.chunksizes == [1, 3]
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
-    code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", "100", "--jobs", "3")
+    code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", str(four), "--jobs", "3")
     assert code == 0
-    assert RecordingPool.sizes == [3]  # one core: serial, no pool
+    assert RecordingPool.sizes == [3, 2]  # one core: serial, no pool

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -194,6 +196,35 @@ def test_hybrid_coordinates_validity():
         r = b.coordinates()
         assert len(r.centers) == b.n
         assert r.max_violation() <= 1e-12
+
+
+def test_derived_fields_left_out_of_equality_hash_and_repr():
+    cfg = ClassConfig(16, 5, FULL, d=1)
+    assert (cfg.n, cfg.width_units) == (79, 33)
+    twin = ClassConfig(16, 5, FULL, d=1)
+    object.__setattr__(twin, "n", 0)  # only the six parameters are compared
+    object.__setattr__(twin, "width_units", 0)
+    assert twin == cfg and hash(twin) == hash(cfg)
+    assert repr(cfg) == "ClassConfig(w=16, h=5, pattern=<RowPattern.FULL: 'full'>, s=0, s_minus=0, d=1)"
+    derived = [f.name for f in dataclasses.fields(ClassConfig) if not f.init]
+    assert derived == ["n", "width_units"]
+    with pytest.raises(TypeError):
+        ClassConfig(16, 5, FULL, 0, 0, 1, 79)
+
+
+def test_derived_fields_survive_pickle():
+    for cfg in (ClassConfig(16, 5, FULL, d=1), ClassConfig(4, 0, FULL, s=3, s_minus=1),
+                ClassConfig(17, 3, SOUT)):
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg
+        assert (back.n, back.width_units) == (cfg.n, cfg.width_units)
+
+
+def test_invalid_member_raises_before_deriving():
+    with pytest.raises(ValueError, match="exceed interior capacity"):
+        ClassConfig(4, 3, FULL, d=3)
+    with pytest.raises(ValueError, match="bad parameters ClassConfig\\(w=0, h=2"):
+        ClassConfig(0, 2)
 
 
 def test_json_round_trip():

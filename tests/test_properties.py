@@ -1,8 +1,8 @@
 """Property tests guarding the exact block sieve in rowpack.search against
-the unpruned enumerator of tests/naive_oracle.py, the overlap kernel in
-rowpack.packings, the neighbour-list relaxation in rowpack.compactor
-against its all-pairs loop, and the memoised SVG renderer against a
-per-circle one."""
+the unpruned enumerator of tests/naive_oracle.py, the sieve's float filter
+against quadint.sign, the overlap kernel in rowpack.packings, the
+neighbour-list relaxation in rowpack.compactor against its all-pairs loop,
+and the memoised SVG renderer against a per-circle one."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from naive_oracle import enumerated_best
 from rowpack.cli import main
 from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_violation
-from rowpack.quadint import QuadInt
+from rowpack.quadint import QuadInt, sign
 from rowpack import compactor, search
 from rowpack.render import to_svg
 from rowpack.search import BLOCK, best, result_to_json, scan_range
@@ -116,11 +116,100 @@ def test_block_min_and_ties_equal_unpruned_enumeration(n, below, above):
 
 
 def test_adjacent_blocks_equal_one_n_blocks_dmax_9():
-    # 64-n blocks, twice BLOCK, so each block's cell test is looser than a scan's
-    blocks = search._block((1, 64)) + search._block((65, 128))
+    # blocks of twice BLOCK n, so each block's cell test is looser than a scan's
+    blocks = search._block((1, 2 * BLOCK)) + search._block((2 * BLOCK + 1, 4 * BLOCK))
     assert [result_to_json(r) for r in blocks] == [
-        result_to_json(best(n)) for n in range(1, 129)
+        result_to_json(best(n)) for n in range(1, 4 * BLOCK + 1)
     ]
+
+
+def assert_area_filter_sound(cap, area):
+    """The sieve's float filter on a cap and an area, p, q >= 0 each: a float
+    verdict it acts on without `sign` must agree with `sign`."""
+    (cp, cq), (ap, aq) = cap, area
+    capf, af = cp + cq * search._SQRT3, ap + aq * search._SQRT3  # as the sieve computes them
+    exact = sign(cp - ap, cq - aq)
+    if capf < af * (1 - search._MARGIN):  # scatter skip, w cut stop
+        assert exact < 0, (cap, area)
+    if capf > af * (1 + search._MARGIN):  # w cut: the area is below C
+        assert exact > 0, (cap, area)
+
+
+def assert_bounds_exact(n_lo, capp, capq):
+    """`_bounds` on caps with p, q >= 0 and p + 2q <= 4n gives the exact
+    maxima C and M, and an index holding each."""
+    assert all(p >= 0 and q >= 0 and p + 2 * q <= 4 * (n_lo + i)
+               for i, (p, q) in enumerate(zip(capp, capq)))
+    capf = [p + q * search._SQRT3 for p, q in zip(capp, capq)]
+    mp, mq, cp, cq, im, ic = search._bounds(n_lo, capp, capq, capf)
+    assert (capp[ic], capq[ic]) == (cp, cq)
+    assert (capp[im], capq[im] - 2 * (n_lo + im)) == (mp, mq)
+    for i, (p, q) in enumerate(zip(capp, capq)):
+        assert sign(p - cp, q - cq) <= 0
+        assert sign(p - mp, q - 2 * (n_lo + i) - mq) <= 0
+
+
+def pell(limit):
+    """(x, y) with x^2 - 3y^2 = 1: x - y*sqrt(3) = 1/(x + y*sqrt(3)) > 0 is tiny."""
+    x, y = 2, 1
+    while x <= limit:
+        yield x, y
+        x, y = 2 * x + 3 * y, x + 2 * y
+
+
+OFFSETS = (0, 1, 10**6, 3 * 10**9 + 7, 2**53 + 1, 10**15, 10**17)
+
+
+def test_float_filter_sound_on_pell_near_ties():
+    # (P + x, Q) is above (P, Q + y) by 1/(x + y*sqrt(3)), as little as ~3e-17,
+    # on offsets up to 10^17, where float(P) itself rounds; with no margin
+    # 136 of these 2744 area pairs are ordered wrongly by their floats
+    solutions = list(pell(10**16))
+    assert len(solutions) == 28
+    for x, y in solutions:
+        for big in OFFSETS:
+            for small in OFFSETS:
+                for P, Q in ((big, small), (small, big)):
+                    assert_area_filter_sound((P + x, Q), (P, Q + y))
+                    assert_area_filter_sound((P, Q + y), (P + x, Q))
+                    # two-n blocks whose caps, or whose m(n), differ by x - y*sqrt(3)
+                    n = (P + x + 2 * (Q + y + 2)) // 4 + 1
+                    assert_bounds_exact(n, [P + x, P], [Q, Q + y])
+                    assert_bounds_exact(n, [P, P + x], [Q + y, Q])
+                    assert_bounds_exact(n, [P, P + x], [Q + y, Q + 2])
+                    assert_bounds_exact(n, [P + x, P], [Q, Q + y + 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 2**64), st.integers(-2**20, 2**20),
+       st.integers(-2**20, 2**20))
+def test_float_filter_sound_on_random_pairs(p, q, dp, dq):
+    assume(p + dp >= 0 and q + dq >= 0)
+    assert_area_filter_sound((p + dp, q + dq), (p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**17),
+       st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), min_size=1,
+                max_size=2 * BLOCK),
+       st.sampled_from([1, 2, 8, 2**20, 2**62]))
+def test_bounds_are_the_exact_maxima(n_lo, raw, spread):
+    # caps with q near 2n: a small spread makes exact ties, and float
+    # near-ties once n is large
+    capp, capq = [], []
+    for i, (a, b) in enumerate(raw):
+        n = n_lo + i
+        q = 2 * n - b % min(spread, 2 * n + 1)
+        capp.append(a % (4 * n - 2 * q + 1))
+        capq.append(q)
+    assert_bounds_exact(n_lo, capp, capq)
+
+
+def test_forced_exact_sieve_gives_the_same_lines(monkeypatch):
+    # an infinite margin sends every comparison to quadint.sign
+    default = [search.result_to_line(r) for r in scan_range(1, 3000)]
+    monkeypatch.setattr(search, "_MARGIN", math.inf)
+    assert [search.result_to_line(r) for r in scan_range(1, 3000)] == default
 
 
 def pairwise_violation(pts, width, height):

@@ -250,6 +250,18 @@ def test_scan_range_parallel_matches_serial():
     assert [result_to_json(r) for r in serial] == [result_to_json(r) for r in parallel]
 
 
+def test_derived_member_fields_cross_processes():
+    # ClassConfig equality ignores n and width_units, so compare them directly
+    def derived(results):
+        return [[(c.n, c.width_units) for c in r.argmin] for r in results]
+
+    parallel = scan_range(1, 300, jobs=2)
+    assert derived(parallel) == derived(scan_range(1, 300, jobs=1))
+    for r in parallel:
+        assert {c.n for c in r.argmin} == {r.n}
+        assert all(c.width_units * c.height() == r.min_area for c in r.argmin)
+
+
 def test_results_round_trip(tmp_path):
     path = tmp_path / "results.jsonl"
     results = [best(n) for n in (1, 12, 49, 79)]
