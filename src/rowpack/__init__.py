@@ -27,7 +27,7 @@ from .theory import (
     waste_constants,
 )
 from .compactor import CompactorParams, CompactorRun, best_of, compact, random_start
-from .render import aspect_scatter_csv, to_svg
+from .render import aspect_line, aspect_scatter_csv, to_svg
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,5 @@ __all__ = [
     "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",
     "waste_constants",
     "CompactorParams", "CompactorRun", "best_of", "compact", "random_start",
-    "aspect_scatter_csv", "to_svg",
+    "aspect_line", "aspect_scatter_csv", "to_svg",
 ]

@@ -1,12 +1,11 @@
 """Command-line surface: searches, range scans, reproduction reports, tools.
 
-Range commands each reduce one stream that fans out over processes
-(--jobs, default the core count; at most one process per core and per
-block of `search.BLOCK` n); parallel and serial runs write byte-identical
-files.  `range` reads `search.iter_lines`, whose workers send back each n's
-class and finished results line, so the parent only counts and writes;
-`irregular`, `milestones` and `aspect` reduce `search.iter_range`, whose
-workers send back SearchResults.  `_emit` writes every output as it is
+Range commands each reduce one `search.iter_range` stream that fans out
+over processes (--jobs, default the core count; at most one process per
+core and per block of `search.BLOCK` n); parallel and serial runs write
+byte-identical files.  Each passes the stream a view, which the workers
+apply, so they send back each n's finished line or milestone mark and the
+parent only counts, folds and writes.  `_emit` writes every output as it is
 produced: `range`, `irregular` and `aspect` write each line as its block of
 n arrives, so memory stays flat (31 MB peak RSS over 1..300000 at --jobs 1,
 as for `milestones`).  `main` checks that --out can be written before the
@@ -41,8 +40,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _class_and_line(result: search.SearchResult) -> tuple[str, str]:
+    return result.classification.value, search.result_to_line(result)
+
+
+def _irregular_n(result: search.SearchResult) -> str:
+    return "" if result.classification is search.Classification.REGULAR else f"{result.n}\n"
+
+
 def cmd_range(args: argparse.Namespace) -> int:
-    pairs = search.iter_lines(args.n_lo, args.n_hi, jobs=args.jobs)
+    pairs = search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs, view=_class_and_line)
     counts = {"regular": 0, "may_hole": 0, "must_hole": 0}
 
     def lines():
@@ -64,21 +71,20 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_irregular(args: argparse.Namespace) -> int:
-    results = search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs)
-    regular = search.Classification.REGULAR
-    _emit((f"{r.n}\n" for r in results if r.classification is not regular), args.out)
+    _emit(search.iter_range(args.n_lo, args.n_hi, jobs=args.jobs, view=_irregular_n), args.out)
     return 0
 
 
 def cmd_milestones(args: argparse.Namespace) -> int:
-    report = search.milestones(args.n_hi, search.iter_range(1, args.n_hi, jobs=args.jobs))
+    marks = search.iter_range(1, args.n_hi, jobs=args.jobs, view=search.milestone_mark)
+    report = search.fold_milestones(args.n_hi, marks)
     _emit([json.dumps(report.to_json(), indent=2) + "\n"], args.out)
     return 0
 
 
 def cmd_aspect(args: argparse.Namespace) -> int:
-    results = search.iter_range(1, args.n_hi, jobs=args.jobs)
-    _emit(render.aspect_scatter_csv(results), args.out)
+    lines = search.iter_range(1, args.n_hi, jobs=args.jobs, view=render.aspect_line)
+    _emit(render.aspect_scatter_csv(lines), args.out)
     return 0
 
 
@@ -203,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _check_writable(args.out)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

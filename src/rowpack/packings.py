@@ -319,8 +319,10 @@ class ClassConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassConfig":
-        return cls(int(obj["w"]), int(obj["h"]), RowPattern(obj["pattern"]),
-                   int(obj["s"]), int(obj["s_minus"]), int(obj["d"]))
+        w, h, s, s_minus, d = obj["w"], obj["h"], obj["s"], obj["s_minus"], obj["d"]
+        if not (type(w) is type(h) is type(s) is type(s_minus) is type(d) is int):
+            raise ValueError(f"w, h, s, s_minus and d must be integers: {obj}")
+        return cls(w, h, RowPattern(obj["pattern"]), s, s_minus, d)
 
 
 def hybrid_pair(k: int) -> tuple[ClassConfig, ClassConfig]:

@@ -89,7 +89,10 @@ class QuadInt:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadInt":
-        return cls(int(obj["p"]), int(obj["q"]))
+        p, q = obj["p"], obj["q"]
+        if not (type(p) is type(q) is int):
+            raise ValueError(f"p and q must be integers, got {p!r} and {q!r}")
+        return cls(p, q)
 
 
 def sign(p: int, q: int) -> int:

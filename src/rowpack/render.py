@@ -76,17 +76,16 @@ def to_svg(realization: PackingRealization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def aspect_scatter_csv(results: Iterable[SearchResult]) -> Iterator[str]:
-    """Yield "n,aspect" lines for pure hex optima, then the 2 - sqrt(3) limit row.
+def aspect_line(result: SearchResult) -> str:
+    """The "n,aspect" line of a pure hex optimum, else "": every argmin member
+    has h >= 2 and no square rows, so the best aspect ratio is not ambiguous."""
+    hex_only = all(c.h >= 2 and c.s == 0 for c in result.argmin)
+    return f"{result.n},{_f(result.aspect_ratio())}\n" if hex_only else ""
 
-    results must come in ascending n, as `search.iter_range` streams them;
-    each line is yielded, newline included, as its result arrives.  An n is
-    included only when every argmin configuration is a pure hex block
-    (h >= 2, no square rows): square-grid optima and hybrid ties would make
-    the best aspect ratio ambiguous.
-    """
+
+def aspect_scatter_csv(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the header, each `aspect_line` as it arrives, then the
+    2 - sqrt(3) limit row."""
     yield "n,aspect\n"
-    for result in results:
-        if all(c.h >= 2 and c.s == 0 for c in result.argmin):
-            yield f"{result.n},{_f(result.aspect_ratio())}\n"
+    yield from lines
     yield f"limit,{_f(2.0 - sqrt(3.0))}\n"

@@ -14,8 +14,8 @@ w once per block, and scatters each shape to the n it covers in the block,
 keeping for each n an exact cap (the least area seen) and the shapes that
 reach it.  Areas p + q*sqrt(3) are integer pairs (p, q), compared exactly
 by `quadint.sign`.
-`best(n)` is the block [n, n]; `iter_range` and `scan_range` walk blocks of
-BLOCK n.  ClassConfig objects are built for the argmin only.
+`best(n)` is the block [n, n]; `iter_range` walks blocks of BLOCK n.
+ClassConfig objects are built for the argmin only.
 
 Pruning is exact.  Every cap starts at 4n, the area of the one-row strip
 (n, 0, FULL, s=1), so cap(n) <= 4n throughout.  A member of cell (h, s)
@@ -98,10 +98,8 @@ but only in 8 on 5001..20000.  A small block walks the cells again for
 every few n; a large one loosens the cell test and the w cut.
 
 Range scans may fan out over processes, at most one per core and per
-block; results are streamed in n order, so parallel and serial runs
-produce identical output.  A pool task carries several blocks (see
-`_stream`).  `iter_lines` formats each results line in the process that
-found it, so its workers send back lines, not SearchResults.
+block, each task carrying several blocks (see `_stream`); results are
+streamed in n order, so parallel and serial runs produce identical output.
 """
 from __future__ import annotations
 
@@ -111,7 +109,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from . import improve
@@ -321,8 +319,8 @@ def _splits(n: int, shapes: list[tuple]) -> Iterator[tuple]:
             yield w, h, pattern, s, k - d, d
 
 
-def _block(bounds: tuple[int, int]) -> list[SearchResult]:
-    """best(n) for every n in the block (n_lo, n_hi), from one sieve."""
+def _block(bounds: tuple[int, int], view: Callable | None = None) -> list:
+    """best(n), or view(best(n)), for every n in the block (n_lo, n_hi), from one sieve."""
     n_lo, n_hi = bounds
     capp, capq, ties = _sieve(n_lo, n_hi)
     results = []
@@ -332,7 +330,7 @@ def _block(bounds: tuple[int, int]) -> list[SearchResult]:
         if len(argmin) > 1:
             argmin.sort(key=ClassConfig.sort_key)
         results.append(SearchResult(n, QuadInt(capp[i], capq[i]), tuple(argmin)))
-    return results
+    return results if view is None else [view(r) for r in results]
 
 
 def best(n: int) -> SearchResult:
@@ -342,45 +340,31 @@ def best(n: int) -> SearchResult:
     return _block((n, n))[0]
 
 
-def iter_range(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[SearchResult]:
-    """best(n) for every n in [n_lo, n_hi], streamed in ascending n order.
+def iter_range(n_lo: int, n_hi: int, jobs: int = 1, view: Callable | None = None) -> Iterator:
+    """best(n), or view(best(n)) if a view is given, for every n in [n_lo, n_hi],
+    streamed in ascending n order.
 
-    `scan_range`, `milestones` and the CLI's `irregular`, `milestones` and
-    `aspect` reduce this stream; `range` reads `iter_lines`.  The range is
-    cut into blocks of BLOCK n; min(jobs, core count, block count) processes
-    map them in order, so a one-block range never starts a pool.  Arguments
-    are checked here, before the first result is asked for: jobs < 1 is a
+    The range is cut into blocks of BLOCK n; min(jobs, core count, block
+    count) processes map them in order, so a one-block range never starts a
+    pool.  The view is module-level and runs where its block was searched,
+    so a pool's workers send back only what it returns.  Arguments are
+    checked here, before the first item is asked for: jobs < 1 is a
     ValueError.
     """
-    return _stream(_block, *_blocks(n_lo, n_hi, jobs))
-
-
-def iter_lines(n_lo: int, n_hi: int, jobs: int = 1) -> Iterator[tuple[str, str]]:
-    """(class, results line) for every n in [n_lo, n_hi], in ascending n order.
-
-    `iter_range` with each result formatted by `result_to_line` in the
-    process that found it, so a pool's workers send back finished lines,
-    not SearchResults.  The same checks, blocks and pool sizing.
-    """
-    return _stream(_block_lines, *_blocks(n_lo, n_hi, jobs))
-
-
-def _blocks(n_lo: int, n_hi: int, jobs: int) -> tuple[list[tuple[int, int]], int]:
-    """The checked range's blocks of BLOCK n, and how many processes map them."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     blocks = [(a, min(a + BLOCK - 1, n_hi)) for a in range(n_lo, n_hi + 1, BLOCK)]
-    return blocks, min(jobs, os.cpu_count() or 1, len(blocks))
+    jobs = min(jobs, os.cpu_count() or 1, len(blocks))
+    return _stream(partial(_block, view=view), blocks, jobs)
 
 
 def _stream(block_fn: Callable[[tuple[int, int]], list], blocks: list[tuple[int, int]],
             jobs: int) -> Iterator:
-    """block_fn's items over the blocks, in order; block_fn is module-level,
-    so a pool can send it to its workers.  Each pool task carries about a
-    sixteenth of a worker's share of the blocks, so the parent's cost per
-    task is paid a few dozen times, not once per block."""
+    """block_fn's items over the blocks, in order.  Each pool task carries
+    about a sixteenth of a worker's share of the blocks, so the parent's
+    cost per task is paid a few dozen times, not once per block."""
     if jobs <= 1:
         for block in blocks:
             yield from block_fn(block)
@@ -388,10 +372,6 @@ def _stream(block_fn: Callable[[tuple[int, int]], list], blocks: list[tuple[int,
     with multiprocessing.Pool(jobs) as pool:
         for items in pool.imap(block_fn, blocks, max(1, len(blocks) // (16 * jobs))):
             yield from items
-
-
-def _block_lines(bounds: tuple[int, int]) -> list[tuple[str, str]]:
-    return [(r.classification.value, result_to_line(r)) for r in _block(bounds)]
 
 
 def scan_range(n_lo: int, n_hi: int, jobs: int = 1) -> list[SearchResult]:
@@ -417,11 +397,24 @@ class Milestones:
         }
 
 
-def milestones(n_hi: int, results: Iterable[SearchResult]) -> Milestones:
-    """Monovacancy landmarks for 1..n_hi, reduced from a scan such as
-    `iter_range(1, n_hi)`.
+def milestone_mark(result: SearchResult) -> tuple[int, int, bool]:
+    """(n, min_d, has an argmin member holed with even h and h_minus > 0): the
+    view of a result that `fold_milestones` reads."""
+    for c in result.argmin:
+        if c.d >= 1 and c.h % 2 == 0 and c.h_minus > 0:
+            return result.n, result.min_d, True
+    return result.n, result.min_d, False
 
-    The results with n <= n_hi must be exactly n = 1..n_hi in order (a
+
+def milestones(n_hi: int, results: Iterable[SearchResult]) -> Milestones:
+    """`fold_milestones` over the marks of a scan such as `iter_range(1, n_hi)`."""
+    return fold_milestones(n_hi, map(milestone_mark, results))
+
+
+def fold_milestones(n_hi: int, marks: Iterable[tuple[int, int, bool]]) -> Milestones:
+    """Monovacancy landmarks for 1..n_hi from the `milestone_mark` of each n.
+
+    The marks with n <= n_hi must be exactly n = 1..n_hi in order (a
     ValueError otherwise), and later ones are skipped.
     """
     even_h_holed = None
@@ -429,19 +422,17 @@ def milestones(n_hi: int, results: Iterable[SearchResult]) -> Milestones:
     max_min_d = 0
     seen = 0
     out_of_order = f"milestones: results up to n = {n_hi} must be exactly n = 1..{n_hi} in order"
-    for r in results:
-        if r.n > n_hi:
+    for n, min_d, holed_even_h in marks:
+        if n > n_hi:
             continue
         seen += 1
-        if r.n != seen:
+        if n != seen:
             raise ValueError(out_of_order)
-        if even_h_holed is None and any(
-            c.d >= 1 and c.h % 2 == 0 and c.h_minus > 0 for c in r.argmin
-        ):
-            even_h_holed = r.n
-        if r.min_d >= 2 and first.get(r.min_d) is None:
-            first[r.min_d] = r.n
-        max_min_d = max(max_min_d, r.min_d)
+        if even_h_holed is None and holed_even_h:
+            even_h_holed = n
+        if min_d >= 2 and first.get(min_d) is None:
+            first[min_d] = n
+        max_min_d = max(max_min_d, min_d)
     if seen != n_hi:
         raise ValueError(out_of_order)
     return Milestones(n_hi=n_hi, even_h_holed=even_h_holed,
@@ -483,12 +474,15 @@ def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
 def result_from_json(obj: dict) -> SearchResult:
     """A results line rebuilt from its n, area and argmin.
 
-    Raises ValueError when an argmin member holds another n or has another
-    exact area than the line, or when the line's class, min_d or shapes
-    differ from the values derived from its argmin.
+    Raises ValueError when a count or area field is not an int (a float,
+    bool or string is not read as one), when an argmin member holds another
+    n or has another exact area than the line, or when the line's class,
+    min_d or shapes differ from the values derived from its argmin.
     """
+    if type(obj["n"]) is not int:
+        raise ValueError(f"n must be an integer, got {obj['n']!r}")
     result = SearchResult(
-        n=int(obj["n"]),
+        n=obj["n"],
         min_area=QuadInt.from_json(obj["area"]),
         argmin=tuple(ClassConfig.from_json(c) for c in obj["argmin"]),
     )
@@ -501,7 +495,7 @@ def result_from_json(obj: dict) -> SearchResult:
                              f"and area {p} + {q}*sqrt(3)")
     for key, derived in (("class", result.classification.value),
                          ("min_d", result.min_d), ("shapes", result.shape_count)):
-        if obj[key] != derived:
+        if type(obj[key]) is not type(derived) or obj[key] != derived:
             raise ValueError(f"{key} is {obj[key]!r}, but its argmin gives {derived!r}")
     return result
 

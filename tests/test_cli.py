@@ -1,11 +1,13 @@
 import json
+import pickle
 import shlex
 from pathlib import Path
 
 import pytest
 
 from rowpack.cli import build_parser, main
-from rowpack.search import scan_range, write_results
+from rowpack.packings import ClassConfig
+from rowpack.search import SearchResult, scan_range, write_results
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,16 @@ def test_range_parallel_bytes_match_serial(tmp_path, capsys):
     assert err1 == err2 == sum1
     classes = [json.loads(line)["class"] for line in out1.splitlines()]
     assert json.loads(err1)["irregular"] == sum(c != "regular" for c in classes) > 0
+
+
+def test_n_past_float_range_is_one_line_error(capsys):
+    # past about 1.8e308 an area has no float, so the sieve's float filter
+    # raises OverflowError: one error line, not a traceback
+    huge = str(10**309)
+    for argv in (["search", "--n", huge], ["range", "--from", huge, "--to", huge, "--jobs", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: int too large to convert to float\n"
 
 
 def test_range_empty_errors(capsys):
@@ -305,3 +317,40 @@ def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", str(four), "--jobs", "3")
     assert code == 0
     assert RecordingPool.sizes == [3, 2]  # one core: serial, no pool
+
+
+class ReturningPool(RecordingPool):
+    """RecordingPool that sends the task function through pickle, as a pool
+    does, and records every item a task returns."""
+
+    returned: list = []
+
+    def imap(self, fn, items, chunksize=1):
+        for block in super().imap(pickle.loads(pickle.dumps(fn)), items, chunksize):
+            ReturningPool.returned.extend(block)
+            yield block
+
+
+@pytest.mark.parametrize("argv", [
+    ["range", "--from", "1"], ["irregular"], ["milestones"], ["aspect"],
+], ids=lambda argv: argv[0])
+def test_workers_send_back_views_not_search_results(capsys, monkeypatch, argv):
+    from rowpack import search
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", ReturningPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
+    monkeypatch.setattr(ReturningPool, "returned", [])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    hi = 3 * search.BLOCK + 7  # four blocks
+    serial = run_cli(capsys, *argv, "--to", str(hi), "--jobs", "1")
+    assert RecordingPool.sizes == []
+    assert run_cli(capsys, *argv, "--to", str(hi), "--jobs", "2") == serial
+    assert serial[0] == 0 and RecordingPool.sizes == [2]
+    assert len(ReturningPool.returned) == hi  # one item per n
+
+    def leaves(item):
+        return [x for part in item for x in leaves(part)] if isinstance(item, tuple) else [item]
+
+    shipped = [x for item in ReturningPool.returned for x in leaves(item)]
+    assert not [x for x in shipped if isinstance(x, (SearchResult, ClassConfig))]

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from rowpack.packings import ClassConfig, RowPattern, hybrid_pair
-from rowpack.render import aspect_scatter_csv, to_svg
+from rowpack.render import aspect_line, aspect_scatter_csv, to_svg
 from rowpack.search import best, scan_range
 
 SOFF = RowPattern.SHORT_OFFSET
@@ -41,7 +41,7 @@ def test_rejects_invalid_realization():
 
 def test_aspect_scatter_rules():
     results = scan_range(1, 30)
-    csv = "".join(aspect_scatter_csv(results))
+    csv = "".join(aspect_scatter_csv(map(aspect_line, results)))
     lines = csv.splitlines()
     assert lines[0] == "n,aspect"
     assert lines[-1] == f"limit,{2 - math.sqrt(3):.6f}"
@@ -56,7 +56,8 @@ def test_aspect_scatter_rules():
 
 def test_aspect_scatter_row_count_matches_hex_only_optima():
     results = scan_range(1, 60)
-    csv_rows = len("".join(aspect_scatter_csv(results)).splitlines()) - 2  # header + limit
+    csv = "".join(aspect_scatter_csv(map(aspect_line, results)))
+    csv_rows = len(csv.splitlines()) - 2  # header + limit
     hex_only = sum(
         1 for r in results if all(c.h >= 2 and c.s == 0 for c in r.argmin)
     )
@@ -65,7 +66,7 @@ def test_aspect_scatter_row_count_matches_hex_only_optima():
 
 def test_scatter_includes_best_49_once():
     results = [best(49)]
-    csv = "".join(aspect_scatter_csv(results))
+    csv = "".join(aspect_scatter_csv(map(aspect_line, results)))
     assert csv.count("49,") == 1  # ties share a single shape, one row
 
 
@@ -78,7 +79,7 @@ def test_aspect_scatter_is_lazy():
             taken.append(n)
             yield best(n)
 
-    lines = aspect_scatter_csv(results())
+    lines = aspect_scatter_csv(map(aspect_line, results()))
     assert next(lines) == "n,aspect\n" and taken == []
     assert next(lines).startswith("25,") and taken == [25]
     assert next(lines).startswith("49,") and taken == [25, 49]

@@ -312,6 +312,31 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
             read_results(path)
 
 
+@pytest.mark.parametrize("edits", [
+    {"n": 49.9, "area.p": 68.2, "argmin.0.w": 17.5},
+    {"n": 49.0}, {"n": "49"},
+    {"area.p": 68.2}, {"area.q": 68.0}, {"area.p": "68"},
+    {"argmin.0.w": 17.5}, {"argmin.0.h": "3"}, {"argmin.0.d": True}, {"argmin.1.d": False},
+    {"argmin.1.s": 0.0}, {"argmin.1.s_minus": None},
+    {"min_d": False}, {"shapes": 1.0}, {"shapes": True},
+], ids=lambda edits: ",".join(f"{k}={v!r}" for k, v in edits.items()))
+def test_results_line_with_a_non_int_number_is_rejected(tmp_path, edits):
+    # n = 49: area 68 + 68*sqrt(3), min_d 0, one shape; its first argmin
+    # member is (17, 3, short_offset) with d = 1, its second has d = 0.
+    # int() would read each value as the integer it stands for.
+    line = result_to_json(best(49))
+    for dotted, value in edits.items():
+        *keys, last = (int(k) if k.isdigit() else k for k in dotted.split("."))
+        target = line
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ValueError, match="line 1: corrupt results line"):
+        read_results(path)
+
+
 def test_result_json_schema():
     line = result_to_json(best(49))
     assert line["n"] == 49
