@@ -1,6 +1,10 @@
 import json
+import os
 import pickle
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +84,27 @@ def test_n_past_float_range_is_one_line_error(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: int too large to convert to float\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_000_000_000, 1_000_000_000))
+
+
+@pytest.mark.parametrize("argv", [["aspect"], ["range", "--from", "1"]], ids=lambda a: a[0])
+def test_absurd_range_is_one_line_error_in_bounded_memory(argv):
+    # a range of more than 2**63 blocks fails before any work, without
+    # building anything the size of the range: run under a 1 GB cap, so a
+    # regression fails with MemoryError instead of exhausting the machine
+    huge = str(10**309)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rowpack", *argv, "--to", huge, "--jobs", "1"],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_range_empty_errors(capsys):
@@ -235,6 +260,13 @@ def test_failed_command_leaves_existing_out_unchanged(tmp_path, capsys):
     code, out, err = run_cli(capsys, "search", "--n", "5", "--out", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    # a stream that fails in its first block fails before --out is opened
+    huge = str(10**309)
+    for argv in (["range", "--from", huge], ["irregular", "--from", huge]):
+        code, out, err = run_cli(capsys, *argv, "--to", huge, "--jobs", "1", "--out", str(out_path))
+        assert (code, out) == (2, ""), argv
+        assert err == "error: int too large to convert to float\n"
+        assert out_path.read_text() == "keep\n", argv
 
 
 def test_compact_single_run(tmp_path, capsys):
@@ -303,20 +335,27 @@ def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
     assert code == 0
     assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, four + 1))
     assert RecordingPool.sizes == [3]  # four blocks, three jobs
-    assert RecordingPool.chunksizes == [1]
+    assert RecordingPool.chunksizes == [search.TASK_BLOCKS]
 
-    # 100 blocks over two jobs: tasks of 100 // 32 = 3 blocks, lines still in n order
+    # 100 blocks over two jobs: tasks of the same size, lines still in n order
     hundred = 100 * search.BLOCK
     code, out, _ = run_cli(capsys, "range", "--from", "1", "--to", str(hundred), "--jobs", "2")
     assert code == 0
     assert [json.loads(line)["n"] for line in out.splitlines()] == list(range(1, hundred + 1))
     assert RecordingPool.sizes == [3, 2]
-    assert RecordingPool.chunksizes == [1, 3]
+    assert RecordingPool.chunksizes == [search.TASK_BLOCKS] * 2
+
+    # a task's size does not grow with the range: the first n of 10000
+    # blocks searches only the first block, as the stand-in's imap is lazy
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert next(search.iter_range(1, 10_000 * search.BLOCK, jobs=2)).n == 1
+    assert RecordingPool.sizes == [3, 2, 2]
+    assert RecordingPool.chunksizes == [search.TASK_BLOCKS] * 3
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
     code, _, _ = run_cli(capsys, "range", "--from", "1", "--to", str(four), "--jobs", "3")
     assert code == 0
-    assert RecordingPool.sizes == [3, 2]  # one core: serial, no pool
+    assert RecordingPool.sizes == [3, 2, 2]  # one core: serial, no pool
 
 
 class ReturningPool(RecordingPool):
