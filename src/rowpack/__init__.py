@@ -15,7 +15,7 @@ from .search import (
     scan_range,
     write_results,
 )
-from .improve import ImprovementReport, MoveKind, applicable_move, improved_metrics
+from .improve import DELTA_H5, DELTA_SIDE, ImprovementReport, MoveKind, improvement
 from .theory import (
     ConvergentEntry,
     WasteConstants,
@@ -36,7 +36,7 @@ __all__ = [
     "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
     "Classification", "SearchResult", "best", "milestones",
     "read_results", "scan_range", "write_results",
-    "ImprovementReport", "MoveKind", "applicable_move", "improved_metrics",
+    "DELTA_H5", "DELTA_SIDE", "ImprovementReport", "MoveKind", "improvement",
     "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",
     "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",
     "waste_constants",

@@ -294,7 +294,7 @@ class ClassConfig:
         chosen = candidates[: self.d]
         return [(x, 1.0 + k * _SQRT3) for _, k, _, x in chosen]
 
-    # serialization -------------------------------------------------------------
+    # ordering ----------------------------------------------------------------
 
     def sort_key(self) -> tuple:
         return (
@@ -306,23 +306,6 @@ class ClassConfig:
             self.h,
             self.s_minus,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "h": self.h,
-            "pattern": self.pattern.value,
-            "s": self.s,
-            "s_minus": self.s_minus,
-            "d": self.d,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ClassConfig":
-        w, h, s, s_minus, d = obj["w"], obj["h"], obj["s"], obj["s_minus"], obj["d"]
-        if not (type(w) is type(h) is type(s) is type(s_minus) is type(d) is int):
-            raise ValueError(f"w, h, s, s_minus and d must be integers: {obj}")
-        return cls(w, h, RowPattern(obj["pattern"]), s, s_minus, d)
 
 
 def hybrid_pair(k: int) -> tuple[ClassConfig, ClassConfig]:

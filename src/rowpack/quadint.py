@@ -84,16 +84,6 @@ class QuadInt:
             return str(self.p)
         return f"{self.p}{self.q:+d}*sqrt(3)"
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "float": self.to_float()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadInt":
-        p, q = obj["p"], obj["q"]
-        if not (type(p) is type(q) is int):
-            raise ValueError(f"p and q must be integers, got {p!r} and {q!r}")
-        return cls(p, q)
-
 
 def sign(p: int, q: int) -> int:
     """-1, 0 or +1: the exact sign of p + q*sqrt(3) for integers p, q.

@@ -447,7 +447,8 @@ def result_to_json(result: SearchResult) -> dict:
     height = rep.height()
     line = {
         "n": result.n,
-        "area": result.min_area.to_json(),
+        "area": {"p": result.min_area.p, "q": result.min_area.q,
+                 "float": result.min_area.to_float()},
         "width": rep.width_units,
         "height": {"p": height.p, "q": height.q},
         "density": rep.density(),
@@ -455,48 +456,66 @@ def result_to_json(result: SearchResult) -> dict:
         "class": result.classification.value,
         "min_d": result.min_d,
         "shapes": result.shape_count,
-        "argmin": [c.to_json() for c in result.argmin],
+        "argmin": [{"w": c.w, "h": c.h, "pattern": c.pattern.value, "s": c.s,
+                    "s_minus": c.s_minus, "d": c.d} for c in result.argmin],
     }
     if result.classification is not Classification.REGULAR:
-        report = _improvement(result)
-        line["improvement"] = report.to_json() if report else None
+        m = _improvement(result)
+        line["improvement"] = None if m is None else {
+            "move": m.move.value, "delta": m.delta, "new_width": m.new_width,
+            "new_area": m.new_area, "new_density": m.new_density,
+            "rattler_note": m.rattler_note, "remaining_holes": m.remaining_holes}
     return line
 
 
 def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
     """The move on the first holed argmin member that has one, if any."""
-    for cfg in result.argmin:
-        if cfg.d >= 1 and improve.applicable_move(cfg) is not improve.MoveKind.NONE:
-            return improve.improved_metrics(cfg)
-    return None
+    return next(filter(None, (improve.improvement(c) for c in result.argmin if c.d)), None)
 
 
 def result_from_json(obj: dict) -> SearchResult:
     """A results line rebuilt from its n, area and argmin.
 
-    Raises ValueError when a count or area field is not an int (a float,
-    bool or string is not read as one), when an argmin member holds another
-    n or has another exact area than the line, or when the line's class,
-    min_d or shapes differ from the values derived from its argmin.
+    Raises ValueError when a count, area, width or height field is not an
+    int (a float, bool or string is not read as one), when an argmin member
+    holds another n or area than the line or does not follow the one before
+    in `ClassConfig.sort_key` order, or when the line's class, min_d,
+    shapes, width or height differ from the values its argmin gives.
     """
-    if type(obj["n"]) is not int:
-        raise ValueError(f"n must be an integer, got {obj['n']!r}")
-    result = SearchResult(
-        n=obj["n"],
-        min_area=QuadInt.from_json(obj["area"]),
-        argmin=tuple(ClassConfig.from_json(c) for c in obj["argmin"]),
-    )
-    n, p, q = result.n, result.min_area.p, result.min_area.q
-    for c in result.argmin:
-        width, h = c.width_units, c.h
-        hp, hq = (2 * c.s, 0) if h == 0 else (2 + 2 * c.s, h - 1)  # ClassConfig.height
+    n, area = obj["n"], obj["area"]
+    p, q = area["p"], area["q"]
+    if not (type(n) is type(p) is type(q) is int):
+        raise ValueError(f"n, area.p and area.q must be integers, got {n!r}, {p!r} and {q!r}")
+    argmin, last = [], None
+    for m in obj["argmin"]:
+        w, h, s, s_minus, d = m["w"], m["h"], m["s"], m["s_minus"], m["d"]
+        if not (type(w) is type(h) is type(s) is type(s_minus) is type(d) is int):
+            raise ValueError(f"w, h, s, s_minus and d must be integers: {m}")
+        c = ClassConfig(w, h, RowPattern(m["pattern"]), s, s_minus, d)
+        width = c.width_units
+        hp, hq = (2 * s, 0) if h == 0 else (2 + 2 * s, h - 1)  # ClassConfig.height
         if c.n != n or width * hp != p or width * hq != q:
-            raise ValueError(f"argmin member {c.to_json()} does not have n = {n} "
+            raise ValueError(f"argmin member {c} does not have n = {n} "
                              f"and area {p} + {q}*sqrt(3)")
-    for key, derived in (("class", result.classification.value),
-                         ("min_d", result.min_d), ("shapes", result.shape_count)):
-        if type(obj[key]) is not type(derived) or obj[key] != derived:
-            raise ValueError(f"{key} is {obj[key]!r}, but its argmin gives {derived!r}")
+        order = c.sort_key()
+        if last is None:  # the line's width and height are argmin[0]'s
+            width0, height0 = width, (hp, hq)
+        elif order <= last:
+            raise ValueError(f"argmin member {c} is out of order or repeated")
+        last = order
+        argmin.append(c)
+    result = SearchResult(n, QuadInt(p, q), tuple(argmin))
+    min_d, shapes, width, height = obj["min_d"], obj["shapes"], obj["width"], obj["height"]
+    hp, hq = height["p"], height["q"]
+    if not (type(min_d) is type(shapes) is type(width) is type(hp) is type(hq) is int):
+        raise ValueError(f"min_d, shapes, width and height must be integers, "
+                         f"got {min_d!r}, {shapes!r}, {width!r} and {height!r}")
+    for key, value, derived in (("class", obj["class"], result.classification.value),
+                                ("min_d", min_d, result.min_d),
+                                ("shapes", shapes, result.shape_count),
+                                ("width", width, width0), ("height", (hp, hq), height0)):
+        if value != derived:
+            raise ValueError(f"{key} is {value!r}, but its argmin gives {derived!r}")
     return result
 
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from naive_oracle import enumerated_best, naive_best
-from rowpack.improve import MoveKind, applicable_move, improved_metrics
+from rowpack.improve import improvement
 from rowpack.search import Classification, best
 
 
@@ -42,13 +42,11 @@ def improvement_sweep():
         result = best(n)
         if result.classification is Classification.REGULAR:
             continue
-        movers = [
-            c for c in result.argmin
-            if c.d >= 1 and applicable_move(c) is not MoveKind.NONE
-        ]
+        reports = [improvement(c) for c in result.argmin if c.d >= 1]
+        movers = [m for m in reports if m is not None]
         if not movers:
             continue  # no odd-h move published for this family
-        improved = improved_metrics(movers[0]).new_density
+        improved = movers[0].new_density
         p, q = enumerated_best(n, 0)[0]  # the hole-free minimum area
         rows.append((n, improved, n * math.pi / (p + q * math.sqrt(3))))
     return rows

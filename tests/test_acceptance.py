@@ -11,11 +11,7 @@ from dataclasses import replace
 import pytest
 
 from rowpack.compactor import CompactorParams, best_of, compact
-from rowpack.improve import (
-    delta_h5_relocation,
-    delta_side_relocation,
-    improved_metrics,
-)
+from rowpack.improve import DELTA_H5, DELTA_SIDE, improvement
 from rowpack.packings import ClassConfig, RowPattern, hybrid_pair
 from rowpack.quadint import QuadInt
 from rowpack.search import (
@@ -182,8 +178,8 @@ def test_criterion_05_milestones(full_scan):
 
 
 def test_criterion_06_improvements(improvement_sweep):
-    d1, d2 = delta_side_relocation(), delta_h5_relocation()
-    dens49 = improved_metrics(ClassConfig(17, 3, SOFF, d=1)).new_density
+    d1, d2 = DELTA_SIDE, DELTA_H5
+    dens49 = improvement(ClassConfig(17, 3, SOFF, d=1)).new_density
     strict_ok = all(improved > top for _, improved, top in improvement_sweep)
     applicable_ns = [n for n, _, _ in improvement_sweep]
     # the complete applicable odd-h set at or below 213

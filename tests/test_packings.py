@@ -227,12 +227,6 @@ def test_invalid_member_raises_before_deriving():
         ClassConfig(0, 2)
 
 
-def test_json_round_trip():
-    cfg = ClassConfig(16, 5, FULL, d=1)
-    assert ClassConfig.from_json(cfg.to_json()) == cfg
-    assert cfg.to_json()["pattern"] == "full"
-
-
 def test_realization_json_is_in_unit_radii():
     real = ClassConfig(17, 3, SOFF, d=1).coordinates()
     blob = real.to_json()

@@ -53,14 +53,6 @@ def test_to_float():
     assert float(QuadInt(1, 1)) == pytest.approx(1 + math.sqrt(3))
 
 
-def test_json_round_trip():
-    v = QuadInt(-14, 8)
-    blob = v.to_json()
-    assert blob["p"] == -14 and blob["q"] == 8
-    assert blob["float"] == pytest.approx(v.to_float())
-    assert QuadInt.from_json(blob) == v
-
-
 def test_sign_agrees_with_float_on_a_million_pairs():
     rng = np.random.default_rng(20260809)
     p = rng.integers(-10**6, 10**6 + 1, size=1_000_000)

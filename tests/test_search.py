@@ -306,7 +306,8 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
     path.write_text(json.dumps(line) + "\n")
     assert read_results(path) == [best(79)]
     for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7),
-                       ("n", 80), ("area", {"p": 1, "q": 1})):
+                       ("n", 80), ("area", {"p": 1, "q": 1}), ("width", 999),
+                       ("height", {"p": 2, "q": 9})):
         path.write_text(json.dumps({**line, key: wrong}) + "\n")
         with pytest.raises(ValueError, match=f"line 1: .*\\b{key}\\b"):
             read_results(path)
@@ -319,10 +320,12 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
     {"argmin.0.w": 17.5}, {"argmin.0.h": "3"}, {"argmin.0.d": True}, {"argmin.1.d": False},
     {"argmin.1.s": 0.0}, {"argmin.1.s_minus": None},
     {"min_d": False}, {"shapes": 1.0}, {"shapes": True},
+    {"width": 34.0}, {"height.p": 2.0},
 ], ids=lambda edits: ",".join(f"{k}={v!r}" for k, v in edits.items()))
 def test_results_line_with_a_non_int_number_is_rejected(tmp_path, edits):
-    # n = 49: area 68 + 68*sqrt(3), min_d 0, one shape; its first argmin
-    # member is (17, 3, short_offset) with d = 1, its second has d = 0.
+    # n = 49: area 68 + 68*sqrt(3), min_d 0, one shape, width 34, height
+    # 2 + 2*sqrt(3); its first argmin member is (17, 3, short_offset) with
+    # d = 1, its second has d = 0.
     # int() would read each value as the integer it stands for.
     line = result_to_json(best(49))
     for dotted, value in edits.items():
@@ -334,6 +337,20 @@ def test_results_line_with_a_non_int_number_is_rejected(tmp_path, edits):
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(line) + "\n")
     with pytest.raises(ValueError, match="line 1: corrupt results line"):
+        read_results(path)
+
+
+@pytest.mark.parametrize("order", ["reversed", "repeated"])
+def test_results_line_with_argmin_out_of_order_is_rejected(tmp_path, order):
+    # n = 49 has two argmin members, written in strictly increasing
+    # ClassConfig.sort_key order
+    line = result_to_json(best(49))
+    argmin = line["argmin"]
+    assert len(argmin) == 2
+    edited = argmin[::-1] if order == "reversed" else [argmin[0], *argmin]
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps({**line, "argmin": edited}) + "\n")
+    with pytest.raises(ValueError, match="line 1: corrupt results line .* out of order"):
         read_results(path)
 
 
