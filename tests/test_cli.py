@@ -231,6 +231,12 @@ def test_compact_requires_seed(capsys):
         assert err == "error: compact requires exactly one of --seed and --seeds\n"
 
 
+def test_compact_negative_seed_is_one_line_error(capsys):
+    # rejected by CompactorParams before any search, not inside numpy
+    code, out, err = run_cli(capsys, "compact", "--n", "3", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--n", "5"],
     ["range", "--from", "1", "--to", "3", "--jobs", "1"],

@@ -6,7 +6,8 @@ and the memoised SVG renderer against a per-circle one."""
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from naive_oracle import enumerated_best
 from rowpack.cli import main
@@ -341,8 +342,24 @@ def relax_cases(draw):
     return pts, width, height, draw(st.integers(1, 80))
 
 
+# two stalls of _relax_core: one iteration maps the first state to itself,
+# the second (3 circles) cycles through two states until the stall rule
+FIXED_POINT = ([[1.0, 1.0], [2.0, 1.0]], 3.0, 2.0, 300)
+PERIOD_2 = (
+    [[2.2902012766395643, 1.0], [1.0115948095844272, 2.5379094577844077],
+     [3.568807743068307, 2.5379094577844077]],
+    4.568807743068307, 3.5213255072010434, 400,
+)
+
+
+def relax_case(centers, width, height, iters):
+    return np.array(centers), width, height, iters
+
+
 @settings(max_examples=250, deadline=None)
 @given(relax_cases())
+@example(relax_case(*FIXED_POINT))
+@example(relax_case(*PERIOD_2))
 def test_relax_neighbour_list_equals_all_pairs(case):
     pts, width, height, iters = case
     ref = pts.copy()
@@ -350,6 +367,32 @@ def test_relax_neighbour_list_equals_all_pairs(case):
         ref, width, height, iters
     )
     assert pts.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(("case", "sweeps"), [(FIXED_POINT, 3), (PERIOD_2, 77)],
+                         ids=["fixed_point", "period_2"])
+def test_relax_stops_at_fixed_point(monkeypatch, case, sweeps):
+    """The fixed point ends the loop 2 sweeps after it is reached, where the
+    all-pairs loop runs 62 sweeps to the stall rule.  The period-2 cycle
+    never repeats one iteration's state, so the exit must not fire there:
+    77 sweeps, as the all-pairs loop runs.  Either way pts and the flag
+    equal the all-pairs loop's bit for bit."""
+    counted = []
+    sweep = compactor._sweep
+
+    def counting_sweep(*args):
+        counted.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(compactor, "_sweep", counting_sweep)
+    pts, width, height, iters = relax_case(*case)
+    ref = pts.copy()
+    assert not compactor._relax_core(pts, width, height, iters)
+    assert len(counted) == sweeps
+    assert not all_pairs_relax(ref, width, height, iters)
+    assert pts.tobytes() == ref.tobytes()
+    if case is FIXED_POINT:
+        assert pts.tolist() == [[0.25, 1.0], [2.75, 1.0]]
 
 
 def per_circle_svg(realization):
