@@ -227,6 +227,15 @@ def test_invalid_member_raises_before_deriving():
         ClassConfig(0, 2)
 
 
+@pytest.mark.parametrize("args", [(3, 2, "full"), (3, 2, None), (3, 2, 0), (3, 0, "full", 1)],
+                         ids=repr)
+def test_pattern_that_is_not_a_row_pattern_is_rejected(args):
+    # checked first, so the message names the pattern whatever the other
+    # parameters (h = 0 has a pattern rule of its own), on one line
+    with pytest.raises(ValueError, match=r"^pattern must be a RowPattern, got [^\n]*$"):
+        ClassConfig(*args)
+
+
 def test_realization_json_is_in_unit_radii():
     real = ClassConfig(17, 3, SOFF, d=1).coordinates()
     blob = real.to_json()

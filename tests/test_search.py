@@ -270,6 +270,18 @@ def test_results_round_trip(tmp_path):
     assert loaded == results
 
 
+def test_census_file_is_pinned_and_reads_back(tmp_path):
+    # the bytes `rowpack range --from 1 --to 5000` prints, as a file, and
+    # the results read back from it
+    results = scan_range(1, 5000)
+    path = tmp_path / "census.jsonl"
+    write_results(results, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2aaa292908cd42ef79f8f36b45314e3195ac50b68117eeb34b7a7052b0049c54"
+    )
+    assert read_results(path) == results
+
+
 def test_results_file_line_count(tmp_path):
     path = tmp_path / "r.jsonl"
     write_results(scan_range(1, 53), path)
@@ -334,6 +346,18 @@ def test_results_line_with_a_non_int_number_is_rejected(tmp_path, edits):
         for key in keys:
             target = target[key]
         target[last] = value
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ValueError, match="line 1: corrupt results line"):
+        read_results(path)
+
+
+@pytest.mark.parametrize("pattern", ["bogus", 5, None, ["full"]], ids=repr)
+def test_results_line_with_a_bad_pattern_is_rejected(tmp_path, pattern):
+    # the reader maps a pattern value to its RowPattern through a dict, so an
+    # unknown value and an unhashable one must both still name the line
+    line = result_to_json(best(49))
+    line["argmin"][0]["pattern"] = pattern
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(line) + "\n")
     with pytest.raises(ValueError, match="line 1: corrupt results line"):

@@ -1,5 +1,6 @@
 from naive_oracle import FULL, SHORT_OFFSET, _area, _less
 from rowpack import tables
+from rowpack.search import best
 
 
 def test_fixture_rows_close_under_circle_count():
@@ -70,3 +71,13 @@ def test_star_semantics_match_classification():
     # unstarred rows are regular
     for n in (54, 60, 110, 194, 208, 213):
         assert by_n[n].classification == "regular"
+
+
+def test_reproduce_rows_hold_the_argmin_of_best():
+    # each table is read from one range scan: every row must still be checked
+    # once, in n order, against the argmin best(n) gives
+    for which, table in ((1, tables.TABLE1), (2, tables.TABLE2)):
+        checks = tables.reproduce(which).checks
+        assert [c.n for c in checks] == sorted(table)
+        for c in checks:
+            assert c.argmin == best(c.n).argmin, (which, c.n)
