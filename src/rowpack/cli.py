@@ -27,7 +27,7 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable
 
-from . import compactor, render, search, tables, theory
+from . import render, search, tables, theory
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -107,6 +107,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_compact(args: argparse.Namespace) -> int:
+    from . import compactor  # loads numpy, which no other command needs at import
+
     if (args.seed is None) == (args.seeds is None):
         raise ValueError("compact requires exactly one of --seed and --seeds")
     if args.seeds is not None:

@@ -74,9 +74,13 @@ class CompactorParams:
     max_moves: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, seed, relax_iters, max_moves = self.n, self.seed, self.relax_iters, self.max_moves
+        if not (type(n) is type(seed) is type(relax_iters) is type(max_moves) is int):
+            raise ValueError(f"n, seed, relax_iters and max_moves must be ints, got {n!r}, "
+                             f"{seed!r}, {relax_iters!r} and {max_moves!r}")
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.slack > 1.0:
             raise ValueError("slack must exceed 1 (start from a feasible, sparse box)")
@@ -84,7 +88,7 @@ class CompactorParams:
             raise ValueError("shrink_step must be in (0, 1)")
         if not self.step_floor < self.shrink_step:
             raise ValueError("step_floor must be below shrink_step")
-        if self.relax_iters < 1 or self.max_moves < 1:
+        if relax_iters < 1 or max_moves < 1:
             raise ValueError("iteration budgets must be positive")
 
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
-import numpy as np
-
 from .quadint import QuadInt
 
 _SQRT3 = math.sqrt(3.0)
@@ -76,6 +74,8 @@ _PATTERN_ORDER = {_FULL: 0, _SHORT_OFFSET: 1, _SHORT_OUTER: 2}
 def max_violation(pts: np.ndarray, width: float, height: float) -> float:
     """Worst wall overshoot or pair overlap depth of unit circles at centers pts.
 
+    numpy is imported here so that `import rowpack` does not load it.
+
     pts is an (n, 2) array.  Sorted by x, two circles can overlap only if
     fewer than `span` places apart, where span is the most centers in any
     x window [x, x + 2]; each center is compared with its next span - 1
@@ -86,6 +86,8 @@ def max_violation(pts: np.ndarray, width: float, height: float) -> float:
     puts NaN last and min/max propagate it, so the four extremes below
     are finite only if every coordinate is.
     """
+    import numpy as np
+
     if not (math.isfinite(width) and math.isfinite(height)):
         return math.inf
     n = len(pts)
@@ -126,6 +128,8 @@ class PackingRealization:
 
     def max_violation(self) -> float:
         """Largest constraint violation: wall overshoot or pair overlap depth."""
+        import numpy as np
+
         n = len(self.centers)
         pts = np.fromiter(chain.from_iterable(self.centers), float, 2 * n).reshape(n, 2)
         return max_violation(pts, self.width, self.height)
@@ -157,9 +161,9 @@ class PackingRealization:
 
 @dataclass(frozen=True, slots=True)
 class ClassConfig:
-    """One member of the search class.  Validated on construction: a pattern
-    that is not a RowPattern, or parameters outside the class, raise a
-    ValueError.
+    """One member of the search class.  Validated on construction: a count
+    that is not an int (a float or bool is not read as one), a pattern that
+    is not a RowPattern, or parameters outside the class, raise a ValueError.
 
     n, the circle count w*(h + s) - h_minus - s_minus - d, and width_units,
     the rectangle width in radii (2w + 1 for a full hex block, else 2w), are
@@ -184,6 +188,9 @@ class ClassConfig:
 
     def __post_init__(self) -> None:
         w, h, s, s_minus, d = self.w, self.h, self.s, self.s_minus, self.d
+        if not (type(w) is type(h) is type(s) is type(s_minus) is type(d) is int):
+            raise ValueError(f"w, h, s, s_minus and d must be ints, got {w!r}, {h!r}, "
+                             f"{s!r}, {s_minus!r} and {d!r}")
         pattern = self.pattern
         if pattern is _FULL:
             full = True

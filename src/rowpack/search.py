@@ -519,8 +519,6 @@ def result_from_json(obj: dict) -> SearchResult:
     argmin, last = [], None
     for m in obj["argmin"]:
         w, h, s, s_minus, d = m["w"], m["h"], m["s"], m["s_minus"], m["d"]
-        if not (type(w) is type(h) is type(s) is type(s_minus) is type(d) is int):
-            raise ValueError(f"w, h, s, s_minus and d must be integers: {m}")
         kind = _PATTERN_BY_VALUE.get(m["pattern"])  # an unhashable value is a TypeError
         if kind is None:
             raise ValueError(f"pattern must be one of {', '.join(_PATTERN_BY_VALUE)}: {m}")

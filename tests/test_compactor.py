@@ -35,6 +35,17 @@ def test_params_validation():
         CompactorParams(n=3, seed=1, shrink_step=1e-10)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("seed", 1.5), ("relax_iters", 10.5), ("max_moves", 2.5), ("n", True),
+], ids=repr)
+def test_params_that_are_not_ints_are_rejected(field, value):
+    # each passes the value checks, then would fail deep in a run (n = 2.5 in
+    # search.best, seed = 1.5 inside numpy) or not at all (max_moves = 2.5),
+    # so the types are checked at construction, on one line
+    with pytest.raises(ValueError, match=r"^n, seed, relax_iters and max_moves must be ints, got [^\n]*$"):
+        replace(FAST, **{field: value})
+
+
 def test_random_start_valid():
     r = random_start(25, seed=7)
     assert len(r.centers) == 25

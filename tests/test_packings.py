@@ -236,6 +236,17 @@ def test_pattern_that_is_not_a_row_pattern_is_rejected(args):
         ClassConfig(*args)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"w": 3.5, "h": 2}, {"w": True, "h": 0, "s": 2}, {"w": 4, "h": 3.0},
+    {"w": 4, "h": 0, "s": 2, "s_minus": False}, {"w": 16, "h": 5, "d": 1.0},
+], ids=repr)
+def test_count_that_is_not_an_int_is_rejected(kwargs):
+    # each passes the value checks, and ClassConfig(3.5, 2) would have
+    # n = 7.0, ClassConfig(True, 0, s=2) n = 2: the types are checked, on one line
+    with pytest.raises(ValueError, match=r"^w, h, s, s_minus and d must be ints, got [^\n]*$"):
+        ClassConfig(**kwargs)
+
+
 def test_realization_json_is_in_unit_radii():
     real = ClassConfig(17, 3, SOFF, d=1).coordinates()
     blob = real.to_json()
