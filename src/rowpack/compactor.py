@@ -86,8 +86,8 @@ class CompactorParams:
             raise ValueError("slack must exceed 1 (start from a feasible, sparse box)")
         if not (0.0 < self.shrink_step < 1.0):
             raise ValueError("shrink_step must be in (0, 1)")
-        if not self.step_floor < self.shrink_step:
-            raise ValueError("step_floor must be below shrink_step")
+        if not (0.0 < self.step_floor < self.shrink_step):
+            raise ValueError("step_floor must be in (0, shrink_step): the steps only halve")
         if relax_iters < 1 or max_moves < 1:
             raise ValueError("iteration budgets must be positive")
 

@@ -106,10 +106,10 @@ streamed in n order, so parallel and serial runs produce identical output.
 """
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
@@ -496,33 +496,34 @@ def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
     return next(filter(None, (improve.improvement(c) for c in result.argmin if c.d)), None)
 
 
-def result_from_json(obj: dict) -> SearchResult:
-    """A results line rebuilt from its n, area and argmin.
+# a results line's head, up to area.q, and an argmin member, as the writer spells them
+_HEAD = re.compile(r'\{"n":([0-9]+),"area":\{"p":([0-9]+),"q":([0-9]+),', re.ASCII)
+_MEMBER = re.compile(r'\{"w":([0-9]+),"h":([0-9]+),"pattern":"([a-z_]+)","s":([0-9]+),'
+                     r'"s_minus":([0-9]+),"d":([0-9]+)\}', re.ASCII)
+# a top-level key and its value in a line with no whitespace; no nested key shares a name
+_KEYS = "n|area|width|height|density|aspect|class|min_d|shapes|argmin|improvement"
+_FIELD = re.compile(f'"({_KEYS})":(.*?)(?=,"(?:{_KEYS})":|}}$)', re.ASCII)
 
-    Raises ValueError when a count, area, width or height field is not an
-    int (a float, bool or string is not read as one), when a member's
-    pattern is not a RowPattern value, when an argmin member holds another n
-    or area than the line or does not follow the one before in
-    `ClassConfig.sort_key` order, or when the line's class, min_d, shapes,
-    width or height differ from the values its argmin gives.
 
-    Every member is built, and so validated, as a ClassConfig.  The rest is
-    done on plain values, as a census reads 5,000 lines: on Python 3.11
-    RowPattern(value) costs about 0.99 us, so a dict maps each value to its
-    pattern and sort rank; the sort key is built inline; and enum values are
-    read as _value_ (0.02 us), not .value (0.26 us).
+def _result_from_line(line: str) -> SearchResult:
+    """The result a results line holds; a ValueError (an OverflowError past
+    float range) unless the line is `result_to_line`'s for it, byte for byte.
+
+    Only n, area and the argmin members are parsed.  Each member is built as
+    a ClassConfig and must hold the line's n and exact area and follow the
+    one before in `ClassConfig.sort_key` order; the rewrite checks the rest.
     """
-    n, area = obj["n"], obj["area"]
-    p, q = area["p"], area["q"]
-    if not (type(n) is type(p) is type(q) is int):
-        raise ValueError(f"n, area.p and area.q must be integers, got {n!r}, {p!r} and {q!r}")
-    argmin, last = [], None
-    for m in obj["argmin"]:
-        w, h, s, s_minus, d = m["w"], m["h"], m["s"], m["s_minus"], m["d"]
-        kind = _PATTERN_BY_VALUE.get(m["pattern"])  # an unhashable value is a TypeError
+    head = _HEAD.match(line)
+    if head is None:
+        raise ValueError('n and area are not spelled {"n":<int>,"area":{"p":<int>,"q":<int>,')
+    n, p, q = map(int, head.groups())
+    argmin, last = [], ()
+    for m in _MEMBER.finditer(line, head.end()):
+        kind = _PATTERN_BY_VALUE.get(m[3])
         if kind is None:
-            raise ValueError(f"pattern must be one of {', '.join(_PATTERN_BY_VALUE)}: {m}")
+            raise ValueError(f"pattern must be one of {', '.join(_PATTERN_BY_VALUE)}: {m[0]}")
         pattern, rank = kind
+        w, h, s, s_minus, d = map(int, m.group(1, 2, 4, 5, 6))
         c = ClassConfig(w, h, pattern, s, s_minus, d)
         width = c.width_units
         hp, hq = _height_pair(h, s)
@@ -530,24 +531,20 @@ def result_from_json(obj: dict) -> SearchResult:
             raise ValueError(f"argmin member {c} does not have n = {n} "
                              f"and area {p} + {q}*sqrt(3)")
         order = (width, rank, s, d, w, h, s_minus)  # c.sort_key()
-        if last is None:  # the line's width and height are argmin[0]'s
-            width0, height0 = width, (hp, hq)
-        elif order <= last:
+        if order <= last:
             raise ValueError(f"argmin member {c} is out of order or repeated")
         last = order
         argmin.append(c)
     result = SearchResult(n, QuadInt(p, q), tuple(argmin))
-    min_d, shapes, width, height = obj["min_d"], obj["shapes"], obj["width"], obj["height"]
-    hp, hq = height["p"], height["q"]
-    if not (type(min_d) is type(shapes) is type(width) is type(hp) is type(hq) is int):
-        raise ValueError(f"min_d, shapes, width and height must be integers, "
-                         f"got {min_d!r}, {shapes!r}, {width!r} and {height!r}")
-    for key, value, derived in (("class", obj["class"], result.classification._value_),
-                                ("min_d", min_d, result.min_d),
-                                ("shapes", shapes, result.shape_count),
-                                ("width", width, width0), ("height", (hp, hq), height0)):
-        if value != derived:
-            raise ValueError(f"{key} is {value!r}, but its argmin gives {derived!r}")
+    if (written := result_to_line(result)) != line:
+        # name the first top-level key whose value, whitespace removed, differs
+        got, want = ({m[1]: m[2] for m in _FIELD.finditer("".join(t.split()))}
+                     for t in (line, written))
+        for key in [*want, *got]:
+            if got.get(key) != want.get(key):
+                raise ValueError(f"{key} is {got.get(key, 'absent')}, "
+                                 f"but write_results writes {want.get(key, 'nothing')}")
+        raise ValueError("the line is not spelled as write_results writes it")
     return result
 
 
@@ -603,21 +600,21 @@ def write_results(results: Iterable[SearchResult], path) -> None:
 
 
 def read_results(path) -> list[SearchResult]:
-    """The results of a file `write_results` wrote, each line checked by
-    `result_from_json`; a bad line is a ValueError naming its number.
+    """The results of a file `write_results` wrote; a line it did not write
+    (edited, re-spaced or re-keyed) is a ValueError naming its number.
 
-    Each line gets its own json.loads.  Parsing the whole file in one call
-    raised a census's peak RSS from 43.1 to 50.9 MB, and a run of lines
-    parsed as one JSON array cannot tell a value that spans two lines from a
-    line holding two values.
+    Lines are read one at a time: each is one record with its own check, so
+    an error names its line and the file's text is never held whole.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if line[-1] != "\n":
+                line += "\n"  # a last line without its newline
             try:
-                out.append(result_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                out.append(_result_from_line(line))
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"line {lineno}: corrupt results line ({exc})") from exc
     return out

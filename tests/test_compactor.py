@@ -33,6 +33,11 @@ def test_params_validation():
         CompactorParams(n=3, seed=1, shrink_step=1.5)
     with pytest.raises(ValueError):
         CompactorParams(n=3, seed=1, shrink_step=1e-10)
+    # the steps only halve, so a floor of 0 or less is never reached and
+    # every run would spend its whole move budget
+    for step_floor in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^step_floor must be in \(0, shrink_step\)"):
+            CompactorParams(n=3, seed=1, step_floor=step_floor)
 
 
 @pytest.mark.parametrize("field, value", [

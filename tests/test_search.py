@@ -183,9 +183,25 @@ def test_scan_5001_to_20000_golden():
     )
 
 
+def dumps(blob) -> str:
+    """A JSON value in the writer's compact spelling, newline-terminated."""
+    return json.dumps(blob, separators=(",", ":")) + "\n"
+
+
 def json_line(result) -> str:
     """The results line as json.dumps writes it: the oracle for result_to_line."""
-    return json.dumps(result_to_json(result), separators=(",", ":")) + "\n"
+    return dumps(result_to_json(result))
+
+
+def edited(line: dict, edits: dict) -> dict:
+    """The line with each dotted path ("argmin.0.w") set to its value."""
+    for dotted, value in edits.items():
+        *keys, last = (int(k) if k.isdigit() else k for k in dotted.split("."))
+        target = line
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return line
 
 
 def test_result_to_line_equals_json_dumps_1_to_5000():
@@ -288,11 +304,19 @@ def test_results_file_line_count(tmp_path):
     assert len(path.read_text().splitlines()) == 53
 
 
+def test_results_last_line_without_newline_and_blank_lines_read_back(tmp_path):
+    path = tmp_path / "r.jsonl"
+    results = [best(n) for n in (1, 49)]
+    lines = [result_to_line(r) for r in results]
+    path.write_text("\n" + lines[0] + "  \n" + lines[1].rstrip("\n"))
+    assert read_results(path) == results
+
+
 def test_results_corrupt_line_names_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    lines = [json.dumps(result_to_json(best(n))) for n in (1, 2)]
-    lines.insert(1, '{"n": 7, "oops"')
-    path.write_text("\n".join(lines) + "\n")
+    lines = [result_to_line(best(n)) for n in (1, 2)]
+    lines.insert(1, '{"n":7,"oops"\n')
+    path.write_text("".join(lines))
     with pytest.raises(ValueError, match="line 2"):
         read_results(path)
 
@@ -305,7 +329,7 @@ def test_results_line_of_wrong_shape_names_line_number(tmp_path, bad):
     path = tmp_path / "bad.jsonl"
     line = result_to_json(best(12))
     blob = bad if isinstance(bad, list) else {**line, **bad}
-    path.write_text(json.dumps(result_to_json(best(2))) + "\n" + json.dumps(blob) + "\n")
+    path.write_text(result_to_line(best(2)) + dumps(blob))
     with pytest.raises(ValueError, match="line 2: corrupt results line"):
         read_results(path)
 
@@ -315,14 +339,66 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
     # must_hole, min_d 1, 1 shape
     path = tmp_path / "r.jsonl"
     line = result_to_json(best(79))
-    path.write_text(json.dumps(line) + "\n")
+    path.write_text(result_to_line(best(79)))
     assert read_results(path) == [best(79)]
     for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7),
                        ("n", 80), ("area", {"p": 1, "q": 1}), ("width", 999),
                        ("height", {"p": 2, "q": 9})):
-        path.write_text(json.dumps({**line, key: wrong}) + "\n")
+        path.write_text(dumps({**line, key: wrong}))
         with pytest.raises(ValueError, match=f"line 1: .*\\b{key}\\b"):
             read_results(path)
+
+
+@pytest.mark.parametrize("edits", [
+    {"density": 2.5}, {"aspect": 0.5}, {"area.float": 1.0},
+    {"improvement": None}, {"improvement.delta": 0.5},
+], ids=lambda edits: ",".join(f"{k}={v!r}" for k, v in edits.items()))
+def test_results_line_with_an_edited_derived_field_is_rejected(tmp_path, edits):
+    # n = 49 is may_hole with the odd-h side relocation; the floats and the
+    # move are derived from its argmin, so an edit to any of them is a line
+    # the writer never wrote
+    line = result_to_json(best(49))
+    assert dumps(line) == result_to_line(best(49))
+    path = tmp_path / "r.jsonl"
+    path.write_text(dumps(edited(line, edits)))
+    key = next(iter(edits)).split(".")[0]
+    with pytest.raises(ValueError, match=f"line 1: corrupt results line \\({key} is "):
+        read_results(path)
+
+
+@pytest.mark.parametrize("spelling", ["default-separators", "n-last", "aspect-before-density"])
+def test_results_line_spelled_otherwise_is_rejected(tmp_path, spelling):
+    # every value is the writer's, but a line is read only as the writer spells it
+    line = result_to_json(best(49))
+    if spelling == "default-separators":
+        text = json.dumps(line) + "\n"
+    elif spelling == "n-last":
+        text = dumps({**{k: v for k, v in line.items() if k != "n"}, "n": 49})
+    else:
+        keys = list(line)
+        i, j = keys.index("density"), keys.index("aspect")
+        keys[i], keys[j] = keys[j], keys[i]
+        text = dumps({k: line[k] for k in keys})
+    path = tmp_path / "r.jsonl"
+    path.write_text(text)
+    match = "the line is not spelled" if spelling == "aspect-before-density" else "n and area"
+    with pytest.raises(ValueError, match=f"line 1: corrupt results line \\({match}"):
+        read_results(path)
+
+
+def test_results_line_past_float_range_is_rejected(tmp_path):
+    # a one-row grid of 10**310 circles has an exact area, but no float
+    # area, density or aspect: write_results raises OverflowError on it, so
+    # no results file holds this line, whatever its floats say
+    n = 10**310
+    line = {"n": n, "area": {"p": 4 * n, "q": 0, "float": 1.0}, "width": 2 * n,
+            "height": {"p": 2, "q": 0}, "density": 0.5, "aspect": 0.5, "class": "regular",
+            "min_d": 0, "shapes": 1,
+            "argmin": [{"w": n, "h": 0, "pattern": "full", "s": 1, "s_minus": 0, "d": 0}]}
+    path = tmp_path / "r.jsonl"
+    path.write_text(dumps(line))
+    with pytest.raises(ValueError, match="line 1: corrupt results line"):
+        read_results(path)
 
 
 @pytest.mark.parametrize("edits", [
@@ -339,27 +415,19 @@ def test_results_line_with_a_non_int_number_is_rejected(tmp_path, edits):
     # 2 + 2*sqrt(3); its first argmin member is (17, 3, short_offset) with
     # d = 1, its second has d = 0.
     # int() would read each value as the integer it stands for.
-    line = result_to_json(best(49))
-    for dotted, value in edits.items():
-        *keys, last = (int(k) if k.isdigit() else k for k in dotted.split("."))
-        target = line
-        for key in keys:
-            target = target[key]
-        target[last] = value
     path = tmp_path / "r.jsonl"
-    path.write_text(json.dumps(line) + "\n")
+    path.write_text(dumps(edited(result_to_json(best(49)), edits)))
     with pytest.raises(ValueError, match="line 1: corrupt results line"):
         read_results(path)
 
 
 @pytest.mark.parametrize("pattern", ["bogus", 5, None, ["full"]], ids=repr)
 def test_results_line_with_a_bad_pattern_is_rejected(tmp_path, pattern):
-    # the reader maps a pattern value to its RowPattern through a dict, so an
-    # unknown value and an unhashable one must both still name the line
+    # an unknown pattern value, a number, null or a list must each name the line
     line = result_to_json(best(49))
     line["argmin"][0]["pattern"] = pattern
     path = tmp_path / "r.jsonl"
-    path.write_text(json.dumps(line) + "\n")
+    path.write_text(dumps(line))
     with pytest.raises(ValueError, match="line 1: corrupt results line"):
         read_results(path)
 
@@ -371,9 +439,9 @@ def test_results_line_with_argmin_out_of_order_is_rejected(tmp_path, order):
     line = result_to_json(best(49))
     argmin = line["argmin"]
     assert len(argmin) == 2
-    edited = argmin[::-1] if order == "reversed" else [argmin[0], *argmin]
+    members = argmin[::-1] if order == "reversed" else [argmin[0], *argmin]
     path = tmp_path / "r.jsonl"
-    path.write_text(json.dumps({**line, "argmin": edited}) + "\n")
+    path.write_text(dumps({**line, "argmin": members}))
     with pytest.raises(ValueError, match="line 1: corrupt results line .* out of order"):
         read_results(path)
 
