@@ -500,9 +500,6 @@ def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
 _HEAD = re.compile(r'\{"n":([0-9]+),"area":\{"p":([0-9]+),"q":([0-9]+),', re.ASCII)
 _MEMBER = re.compile(r'\{"w":([0-9]+),"h":([0-9]+),"pattern":"([a-z_]+)","s":([0-9]+),'
                      r'"s_minus":([0-9]+),"d":([0-9]+)\}', re.ASCII)
-# a top-level key and its value in a line with no whitespace; no nested key shares a name
-_KEYS = "n|area|width|height|density|aspect|class|min_d|shapes|argmin|improvement"
-_FIELD = re.compile(f'"({_KEYS})":(.*?)(?=,"(?:{_KEYS})":|}}$)', re.ASCII)
 
 
 def _result_from_line(line: str) -> SearchResult:
@@ -537,8 +534,11 @@ def _result_from_line(line: str) -> SearchResult:
         argmin.append(c)
     result = SearchResult(n, QuadInt(p, q), tuple(argmin))
     if (written := result_to_line(result)) != line:
-        # name the first top-level key whose value, whitespace removed, differs
-        got, want = ({m[1]: m[2] for m in _FIELD.finditer("".join(t.split()))}
+        # name the first of the writer's keys (no nested key shares a name
+        # with one) whose value, whitespace removed, differs
+        keys = "|".join(result_to_json(result))
+        field_re = re.compile(f'"({keys})":(.*?)(?=,"(?:{keys})":|}}$)', re.ASCII)
+        got, want = ({m[1]: m[2] for m in field_re.finditer("".join(t.split()))}
                      for t in (line, written))
         for key in [*want, *got]:
             if got.get(key) != want.get(key):
@@ -550,7 +550,7 @@ def _result_from_line(line: str) -> SearchResult:
 
 def result_to_line(result: SearchResult) -> str:
     """One line of a results file: `result_to_json` as compact JSON,
-    newline-terminated.
+    newline-terminated; an OverflowError if the area has no finite float.
 
     Formatted directly, with no dict and no `json.dumps`, as the line costs
     more than the search: ints print by str and floats by repr, as json
@@ -568,6 +568,8 @@ def result_to_line(result: SearchResult) -> str:
     width = rep.width_units
     hp, hq = _height_pair(rep.h, rep.s)
     area_f = p + q * _SQRT3  # QuadInt.to_float: the float ClassConfig.density divides by
+    if area_f == math.inf:
+        raise OverflowError(f"area {p} + {q}*sqrt(3) has no float: JSON has no inf")
     aspect = (hp + hq * _SQRT3) / width  # ClassConfig.aspect_ratio
     if aspect > 1.0:
         aspect = 1.0 / aspect

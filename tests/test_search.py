@@ -11,6 +11,7 @@ from rowpack.quadint import QuadInt
 from rowpack.search import (
     BLOCK,
     Classification,
+    SearchResult,
     best,
     iter_range,
     milestones,
@@ -342,11 +343,16 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
     path.write_text(result_to_line(best(79)))
     assert read_results(path) == [best(79)]
     for key, wrong in (("class", "regular"), ("min_d", 0), ("shapes", 7),
-                       ("n", 80), ("area", {"p": 1, "q": 1}), ("width", 999),
-                       ("height", {"p": 2, "q": 9})):
+                       ("n", 80), ("width", 999), ("height", {"p": 2, "q": 9})):
         path.write_text(dumps({**line, key: wrong}))
         with pytest.raises(ValueError, match=f"line 1: .*\\b{key}\\b"):
             read_results(path)
+    # the writer's own line for an area its member does not have: its area,
+    # area.float and density agree, so only the member's area contradicts it
+    path.write_text(result_to_line(SearchResult(79, QuadInt(1, 1), best(79).argmin)))
+    with pytest.raises(ValueError, match=r"line 1: .* does not have n = 79 "
+                                         r"and area 1 \+ 1\*sqrt\(3\)"):
+        read_results(path)
 
 
 @pytest.mark.parametrize("edits", [
@@ -398,6 +404,21 @@ def test_results_line_past_float_range_is_rejected(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text(dumps(line))
     with pytest.raises(ValueError, match="line 1: corrupt results line"):
+        read_results(path)
+
+
+def test_results_line_of_an_area_whose_float_overflows_is_neither_written_nor_read(tmp_path):
+    # the area's integers each fit a float, their float sum does not: JSON
+    # has no inf, so the writer refuses the line, and the reader the same
+    # line spelled by json.dumps (Infinity, NaN)
+    c = ClassConfig(25 * 10**306, 3, FULL)
+    result = SearchResult(c.n, c.area(), (c,))
+    with pytest.raises(OverflowError, match="has no float"):
+        result_to_line(result)
+    path = tmp_path / "r.jsonl"
+    path.write_text(dumps(result_to_json(result)))
+    assert '"float":Infinity' in path.read_text()
+    with pytest.raises(ValueError, match="line 1: corrupt results line .*has no float"):
         read_results(path)
 
 
