@@ -4,9 +4,11 @@ Exact search over row-structured packings (square grid, hexagonal, hybrids,
 with monovacancies), improvement-move analysis, closed-form asymptotics, a
 stochastic wall-press compactor, and SVG rendering.
 
-The compactor is the one module that needs numpy at import, so it and its
-names load on first access (PEP 562): `import rowpack` and the exact search
-use the standard library alone.
+`import rowpack` loads what every search runs, on the standard library
+alone: quadint, packings, search and improve.  The compactor (which needs
+numpy at import), theory and render, and their names, load on first access
+(PEP 562), and each resolved name is then a plain module global.
+`multiprocessing` loads only when a range scan starts a pool.
 """
 import importlib
 
@@ -22,17 +24,6 @@ from .search import (
     write_results,
 )
 from .improve import DELTA_H5, DELTA_SIDE, ImprovementReport, MoveKind, improvement
-from .theory import (
-    ConvergentEntry,
-    WasteConstants,
-    convergents,
-    reference_densities,
-    smallest_two_row_m,
-    two_row_beats_square,
-    verify_convergent_regularity,
-    waste_constants,
-)
-from .render import aspect_line, aspect_scatter_csv, to_svg
 
 __version__ = "0.1.0"
 
@@ -49,12 +40,28 @@ __all__ = [
     "aspect_line", "aspect_scatter_csv", "to_svg",
 ]
 
-_COMPACTOR_NAMES = {"CompactorParams", "CompactorRun", "best_of", "compact", "random_start"}
+# lazy name -> the submodule that defines it; each submodule is its own name
+_LAZY = {
+    **dict.fromkeys(["compactor", "CompactorParams", "CompactorRun", "best_of", "compact",
+                     "random_start"], "compactor"),
+    **dict.fromkeys(["theory", "ConvergentEntry", "WasteConstants", "convergents",
+                     "reference_densities", "smallest_two_row_m", "two_row_beats_square",
+                     "verify_convergent_regularity", "waste_constants"], "theory"),
+    **dict.fromkeys(["render", "aspect_line", "aspect_scatter_csv", "to_svg"], "render"),
+}
 
 
 def __getattr__(name: str):
-    if name == "compactor" or name in _COMPACTOR_NAMES:
-        # not `from . import compactor`: its hasattr(rowpack, "compactor") would recurse here
-        compactor = importlib.import_module(".compactor", __name__)
-        return compactor if name == "compactor" else getattr(compactor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not `from . import compactor`: its hasattr(rowpack, "compactor") would recurse here
+    value = importlib.import_module("." + module, __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # the next access is a plain lookup
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

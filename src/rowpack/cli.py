@@ -14,7 +14,9 @@ that --out can be written before the command runs, without opening it;
 `_emit` opens it only once the first chunk is made.  `main` reports every
 failure as one `error:` line with exit status 2.  Compactor commands
 require exactly one of --seed and --seeds.  Exit status is nonzero
-whenever a reproduction report falls short.
+whenever a reproduction report falls short.  `import rowpack.cli` loads
+only the search; each command imports the other modules it runs (tables,
+theory, render, the compactor) when it runs.
 """
 from __future__ import annotations
 
@@ -24,10 +26,10 @@ import json
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
-from typing import Iterable
 
-from . import render, search, tables, theory
+from . import search
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -72,6 +74,8 @@ def cmd_range(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import tables
+
     report = tables.reproduce(args.which)
     _emit([json.dumps(report.to_json(), indent=2) + "\n"], args.out)
     return 0 if report.ok else 1
@@ -90,12 +94,16 @@ def cmd_milestones(args: argparse.Namespace) -> int:
 
 
 def cmd_aspect(args: argparse.Namespace) -> int:
+    from . import render
+
     lines = search.iter_range(1, args.n_hi, jobs=args.jobs, view=render.aspect_line)
     _emit(render.aspect_scatter_csv(lines), args.out)
     return 0
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    from . import theory
+
     payload = {
         "waste": theory.waste_constants().to_json(),
         "densities": theory.reference_densities(),
@@ -130,6 +138,8 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import render
+
     result = search.best(args.n)
     if not (0 <= args.variant < len(result.argmin)):
         raise ValueError(f"variant must be in 0..{len(result.argmin) - 1}")

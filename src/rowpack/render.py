@@ -19,8 +19,8 @@ infinite violation) and at least 1 - 1e-9 radii from each wall, so x*k and
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import sqrt
-from typing import Iterable, Iterator
 
 from .packings import PackingRealization
 from .search import SearchResult

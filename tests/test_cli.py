@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pickle
 import resource
@@ -327,7 +328,7 @@ class RecordingPool:
 def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
     from rowpack import search
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunksizes", [])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
@@ -382,7 +383,7 @@ class ReturningPool(RecordingPool):
 def test_workers_send_back_views_not_search_results(capsys, monkeypatch, argv):
     from rowpack import search
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", ReturningPool)
+    monkeypatch.setattr(multiprocessing, "Pool", ReturningPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunksizes", [])
     monkeypatch.setattr(ReturningPool, "returned", [])

@@ -1,6 +1,8 @@
-"""What `import rowpack` loads: the exact search runs on the standard library
-alone, and numpy loads only with the code that computes with it (the
-compactor, and the overlap kernel behind render and is_valid).
+"""What `import rowpack` and each command load: the exact search runs on the
+standard library alone, without multiprocessing, which only a --jobs pool
+loads; numpy loads only with the code that computes with it (the
+compactor, and the overlap kernel behind render and is_valid); tables,
+theory and render load with the commands that run them.
 
 What a module loads is checked in a fresh interpreter, as the test
 process itself has numpy and the compactor loaded.
@@ -33,6 +35,10 @@ EXACT_ARGV = [
     ["theory"],
 ]
 
+# loaded by neither `import rowpack` nor `import rowpack.cli`
+DEFERRED = ["multiprocessing", "numpy", "rowpack.compactor", "rowpack.render",
+            "rowpack.tables", "rowpack.theory"]
+
 
 def run_python(script: str) -> str:
     """stdout of `script` in a fresh interpreter that imports rowpack from src."""
@@ -45,13 +51,73 @@ def run_python(script: str) -> str:
 
 
 @pytest.mark.parametrize("module", ["rowpack", "rowpack.cli"])
-def test_import_loads_neither_numpy_nor_the_compactor(module):
+def test_import_loads_only_the_search(module):
     loaded = run_python(f"""
         import sys
         import {module}
-        print(sorted({{"numpy", "rowpack.compactor"}} & set(sys.modules)))
+        print(sorted(set({DEFERRED!r}) & set(sys.modules)))
     """)
     assert loaded == "[]\n"
+
+
+def test_each_command_loads_only_what_it_runs():
+    loaded = run_python(f"""
+        import contextlib, io, sys
+        from rowpack.cli import main
+
+        seen = set(sys.modules)
+        for argv in [
+            ["search", "--n", "8562"],
+            ["range", "--from", "1", "--to", "300", "--jobs", "1"],
+            ["irregular", "--to", "300", "--jobs", "1"],
+            ["milestones", "--to", "300", "--jobs", "1"],
+            ["table", "--which", "1"],
+            ["theory"],
+            ["aspect", "--to", "300", "--jobs", "1"],
+            ["render", "--n", "25"],
+            ["compact", "--n", "3", "--seed", "1"],
+        ]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0, argv
+            if argv[0] == "render":
+                assert out.getvalue().count("<circle") == 25
+            print(argv[0], sorted(set({DEFERRED!r}) & set(sys.modules) - seen))
+            seen |= set(sys.modules)
+        import rowpack
+        assert rowpack.compact is rowpack.compactor.compact
+    """)
+    assert loaded.splitlines() == [
+        "search []", "range []", "irregular []", "milestones []",
+        "table ['rowpack.tables']", "theory ['rowpack.theory']",
+        "aspect ['rowpack.render']", "render ['numpy']", "compact ['rowpack.compactor']",
+    ]
+
+
+def test_one_process_commands_run_with_multiprocessing_blocked(capsys):
+    # with sys.modules["multiprocessing"] = None, any multiprocessing import raises ImportError
+    argvs = [["search", "--n", "8562"], ["range", "--from", "1", "--to", "300", "--jobs", "1"]]
+    script = f"""
+        import sys
+        sys.modules["multiprocessing"] = None
+        import contextlib, io, json
+        from rowpack.cli import main
+
+        outputs = []
+        for argv in {argvs!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            outputs.append((code, out.getvalue(), err.getvalue()))
+        print(json.dumps(outputs))
+    """
+    outputs = [tuple(o) for o in json.loads(run_python(script))]
+    for argv, blocked in zip(argvs, outputs):  # the bytes this process gives
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == blocked, argv
+    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["area"]["p"] == 674
+    assert outputs[1][0] == 0 and outputs[1][1].count("\n") == 300
 
 
 def test_exact_path_runs_with_numpy_blocked(capsys):
@@ -93,35 +159,32 @@ def test_exact_path_runs_with_numpy_blocked(capsys):
 def test_lazy_exports_resolve():
     for name in rowpack.__all__:
         assert getattr(rowpack, name) is not None, name
+        assert vars(rowpack)[name] is getattr(rowpack, name), name  # cached as a plain global
+    assert set(dir(rowpack)) >= {*rowpack.__all__, "compactor", "render", "theory"}
     assert rowpack.compact is rowpack.compactor.compact
     assert rowpack.CompactorParams is rowpack.compactor.CompactorParams
+    assert rowpack.to_svg is rowpack.render.to_svg
+    assert rowpack.convergents is rowpack.theory.convergents
     star: dict = {}
     exec("from rowpack import *", star)
     assert set(rowpack.__all__) <= set(star)
     assert star["best_of"] is rowpack.compactor.best_of
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         rowpack.no_such_name
-
-
-def test_render_and_compact_load_numpy_on_first_use():
-    loaded = run_python("""
-        import contextlib, io, sys
-        from rowpack.cli import main
-
-        def loaded():
-            return sorted({"numpy", "rowpack.compactor"} & set(sys.modules))
-
-        marks = [loaded()]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["render", "--n", "25"]) == 0
-        assert out.getvalue().count("<circle") == 25
-        marks.append(loaded())
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["compact", "--n", "3", "--seed", "1"]) == 0
-        marks.append(loaded())
-        import rowpack
-        assert rowpack.compact is rowpack.compactor.compact
-        print(marks)
-    """)
-    assert loaded == "[[], ['numpy'], ['numpy', 'rowpack.compactor']]\n"
+    # in a fresh interpreter: the deferred names are in dir() before their
+    # first access and in the module's globals after it
+    before, after, listed = json.loads(run_python("""
+        import json, rowpack
+        deferred = set(rowpack.__all__) - set(vars(rowpack))
+        listed = deferred & set(dir(rowpack))
+        rowpack.to_svg, rowpack.waste_constants, rowpack.compact
+        print(json.dumps([sorted(deferred), sorted(deferred - set(vars(rowpack))), sorted(listed)]))
+    """))
+    assert before == listed == sorted([
+        "CompactorParams", "CompactorRun", "best_of", "compact", "random_start",
+        "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",
+        "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",
+        "waste_constants",
+        "aspect_line", "aspect_scatter_csv", "to_svg",
+    ])
+    assert after == sorted(set(before) - {"to_svg", "waste_constants", "compact"})
