@@ -98,11 +98,11 @@ but only in 8 on 5001..20000.  A small block walks the cells again for
 every few n; a large one loosens the cell test and the w cut.
 
 Range scans may fan out over processes, at most one per core and per
-block.  Each pool task carries TASK_BLOCKS = 48 blocks whatever the range,
-so a reply holds about 3,000 n: over 1..10^6 at --jobs 2 the largest
-process peaked at 38 MB, against 94 MB when each task took a 32nd of the
-blocks, at the same wall time (48 is that 32nd on 1..10^5).  Results are
-streamed in n order, so parallel and serial runs produce identical output.
+block.  Each pool task carries TASK_BLOCKS = 48 blocks whatever the range
+(a 32nd of the blocks of 1..10^5), so a reply holds about 3,000 n and
+memory stays flat: over 1..10^6 at --jobs 2 the largest process peaked at
+38 MB.  Results are streamed in n order, so parallel and serial runs
+produce identical output.
 `multiprocessing` is imported only when a pool starts: importing it takes
 about a quarter of what `import rowpack` took with it, and `best(n)` and
 one-process scans never use it.
@@ -119,7 +119,7 @@ from functools import lru_cache, partial
 from itertools import chain
 
 from . import improve
-from .packings import _PATTERN_ORDER, ClassConfig, RowPattern
+from .packings import ClassConfig, RowPattern
 from .quadint import QuadInt, sign as _sign
 
 
@@ -135,13 +135,20 @@ _MAY_HAVE_HOLE = Classification.MAY_HAVE_HOLE
 _MUST_HAVE_HOLE = Classification.MUST_HAVE_HOLE
 
 
+def _height_pair(h: int, s: int) -> tuple[int, int]:
+    """ClassConfig.height as an integer pair (p, q), with no QuadInt built."""
+    return (2 * s, 0) if h == 0 else (2 + 2 * s, h - 1)
+
+
 @dataclass(frozen=True, slots=True)
 class SearchResult:
-    """The exact minimum area for n and its complete tie set, sorted; the
-    classification, min_d and shape_count are derived from argmin, once."""
-    n: int
-    min_area: QuadInt
+    """The exact minimum area for n and its complete tie set, sorted, given as argmin
+    alone: n and min_area are argmin[0]'s, and every other field is derived once.  A
+    one-line ValueError unless argmin is nonempty and each member holds n circles in
+    that exact area, strictly after the one before in `ClassConfig.sort_key` order."""
     argmin: tuple[ClassConfig, ...]
+    n: int = field(init=False)
+    min_area: QuadInt = field(init=False)
     classification: Classification = field(init=False)
     min_d: int = field(init=False)
     shape_count: int = field(init=False)
@@ -150,18 +157,30 @@ class SearchResult:
         argmin = self.argmin
         if not argmin:
             raise ValueError("argmin must not be empty")
-        min_d = max_d = argmin[0].d
+        rep = argmin[0]
+        n, width, h, s = rep.n, rep.width_units, rep.h, rep.s
+        # width times _height_pair(h, s), inlined: most n take no other call
+        p, q = (width * 2 * s, 0) if h == 0 else (width * (2 + 2 * s), width * (h - 1))
+        min_d = max_d = rep.d
         if len(argmin) == 1:  # most n: one member, one shape, and no set to build
             shape_count = 1
         else:
-            shapes = set()
+            shapes, last = set(), ()
             for c in argmin:
+                width, h, s = c.width_units, c.h, c.s
+                hp, hq = _height_pair(h, s)
+                if c.n != n or width * hp != p or width * hq != q:
+                    raise ValueError(f"argmin member {c} does not have n = {n} "
+                                     f"and area {p} + {q}*sqrt(3)")
+                if (key := c.sort_key()) <= last:
+                    raise ValueError(f"argmin member {c} is out of order or repeated")
+                last = key
                 d = c.d
                 if d < min_d:
                     min_d = d
                 elif d > max_d:
                     max_d = d
-                shapes.add((c.width_units, c.h, c.s))  # (h, s) fixes the height
+                shapes.add((width, h, s))  # (h, s) fixes the height
             shape_count = len(shapes)
         if min_d >= 1:
             cls = _MUST_HAVE_HOLE
@@ -169,6 +188,8 @@ class SearchResult:
             cls = _REGULAR
         else:
             cls = _MAY_HAVE_HOLE
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "min_area", QuadInt(p, q))
         object.__setattr__(self, "classification", cls)
         object.__setattr__(self, "min_d", min_d)
         object.__setattr__(self, "shape_count", shape_count)
@@ -208,16 +229,16 @@ def _row_kinds(h: int, square_rows: bool) -> tuple[tuple[RowPattern, bool, int, 
                  for p in patterns)
 
 
-def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
-    """Exact minimum and tie shapes for every n in [n_lo, n_hi], as (cap_p, cap_q, ties).
+def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
+    """The tie shapes of every n in [n_lo, n_hi], as a list ties.
 
     Each shape (w, h, pattern, s, holes) is enumerated once and scattered
     to the n it covers.  ties[i] lists, as (w, h, pattern, s, holes, top),
-    the shapes holding a member with n_lo + i circles of area
-    cap_p[i] + cap_q[i]*sqrt(3), the class minimum for that n; top is the
-    shape's n with no short square row and no hole, which `_splits` reads
-    in place of recomputing h_minus.  Order: cells by h (up from h0, then
-    down from h0 - 1), s, pattern, w, then square grids by s.
+    the shapes holding a member with n_lo + i circles of the class minimum
+    area, the final cap (the caps stay here: a member carries its area);
+    top is the shape's n with no short square row and no hole, which
+    `_splits` reads in place of recomputing h_minus.  Order: cells by h (up
+    from h0, then down from h0 - 1), s, pattern, w, then square grids by s.
     """
     size = n_hi - n_lo + 1
     capp = [4 * n for n in range(n_lo, n_hi + 1)]  # the one-row strip (n, 0, FULL, s=1)
@@ -298,7 +319,7 @@ def _sieve(n_lo: int, n_hi: int) -> tuple[list, list, list]:
             n = n_lo + i
             ties[i] += [(n // s, 0, RowPattern.FULL, s, 0, n)
                         for s in range(1, math.isqrt(n) + 1) if n % s == 0]
-    return capp, capq, ties
+    return ties
 
 
 def _bounds(n_lo: int, capp: list[int], capq: list[int],
@@ -342,14 +363,12 @@ def _splits(n: int, shapes: list[tuple]) -> Iterator[tuple]:
 def _block(bounds: tuple[int, int], view: Callable | None = None) -> list:
     """best(n), or view(best(n)), for every n in the block (n_lo, n_hi), from one sieve."""
     n_lo, n_hi = bounds
-    capp, capq, ties = _sieve(n_lo, n_hi)
     results = []
-    for i, shapes in enumerate(ties):
-        n = n_lo + i
-        argmin = [ClassConfig(*f) for f in _splits(n, shapes)]
+    for i, shapes in enumerate(_sieve(n_lo, n_hi)):
+        argmin = [ClassConfig(*f) for f in _splits(n_lo + i, shapes)]
         if len(argmin) > 1:
             argmin.sort(key=ClassConfig.sort_key)
-        results.append(SearchResult(n, QuadInt(capp[i], capq[i]), tuple(argmin)))
+        results.append(SearchResult(tuple(argmin)))
     return results if view is None else [view(r) for r in results]
 
 
@@ -458,13 +477,8 @@ def fold_milestones(n_hi: int, marks: Iterable[tuple[int, int, bool]]) -> Milest
 
 # results file format -----------------------------------------------------------
 
-# pattern value in a results line -> (RowPattern, its rank in ClassConfig.sort_key)
-_PATTERN_BY_VALUE = {p.value: (p, _PATTERN_ORDER[p]) for p in RowPattern}
-
-
-def _height_pair(h: int, s: int) -> tuple[int, int]:
-    """ClassConfig.height as an integer pair (p, q), with no QuadInt built."""
-    return (2 * s, 0) if h == 0 else (2 + 2 * s, h - 1)
+# pattern value in a results line -> RowPattern
+_PATTERN_BY_VALUE = {p.value: p for p in RowPattern}
 
 
 def result_to_json(result: SearchResult) -> dict:
@@ -500,8 +514,7 @@ def _improvement(result: SearchResult) -> improve.ImprovementReport | None:
     return next(filter(None, (improve.improvement(c) for c in result.argmin if c.d)), None)
 
 
-# a results line's head, up to area.q, and an argmin member, as the writer spells them
-_HEAD = re.compile(r'\{"n":([0-9]+),"area":\{"p":([0-9]+),"q":([0-9]+),', re.ASCII)
+# an argmin member as the writer spells it
 _MEMBER = re.compile(r'\{"w":([0-9]+),"h":([0-9]+),"pattern":"([a-z_]+)","s":([0-9]+),'
                      r'"s_minus":([0-9]+),"d":([0-9]+)\}', re.ASCII)
 
@@ -510,33 +523,20 @@ def _result_from_line(line: str) -> SearchResult:
     """The result a results line holds; a ValueError (an OverflowError past
     float range) unless the line is `result_to_line`'s for it, byte for byte.
 
-    Only n, area and the argmin members are parsed.  Each member is built as
-    a ClassConfig and must hold the line's n and exact area and follow the
-    one before in `ClassConfig.sort_key` order; the rewrite checks the rest.
+    Only the argmin members are parsed, each built as a ClassConfig;
+    `SearchResult` checks them against each other (n, exact area, strict
+    order), and the rewrite checks n, area and every other field.
     """
-    head = _HEAD.match(line)
-    if head is None:
-        raise ValueError('n and area are not spelled {"n":<int>,"area":{"p":<int>,"q":<int>,')
-    n, p, q = map(int, head.groups())
-    argmin, last = [], ()
-    for m in _MEMBER.finditer(line, head.end()):
-        kind = _PATTERN_BY_VALUE.get(m[3])
-        if kind is None:
+    argmin = []
+    for m in _MEMBER.finditer(line):
+        pattern = _PATTERN_BY_VALUE.get(m[3])
+        if pattern is None:
             raise ValueError(f"pattern must be one of {', '.join(_PATTERN_BY_VALUE)}: {m[0]}")
-        pattern, rank = kind
         w, h, s, s_minus, d = map(int, m.group(1, 2, 4, 5, 6))
-        c = ClassConfig(w, h, pattern, s, s_minus, d)
-        width = c.width_units
-        hp, hq = _height_pair(h, s)
-        if c.n != n or width * hp != p or width * hq != q:
-            raise ValueError(f"argmin member {c} does not have n = {n} "
-                             f"and area {p} + {q}*sqrt(3)")
-        order = (width, rank, s, d, w, h, s_minus)  # c.sort_key()
-        if order <= last:
-            raise ValueError(f"argmin member {c} is out of order or repeated")
-        last = order
-        argmin.append(c)
-    result = SearchResult(n, QuadInt(p, q), tuple(argmin))
+        argmin.append(ClassConfig(w, h, pattern, s, s_minus, d))
+    if not argmin:
+        raise ValueError('no argmin member is spelled {"w":<int>,"h":<int>,...}')
+    result = SearchResult(tuple(argmin))
     if (written := result_to_line(result)) != line:
         # name the first of the writer's keys (no nested key shares a name
         # with one) whose value, whitespace removed, differs

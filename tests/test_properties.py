@@ -15,7 +15,7 @@ from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_vi
 from rowpack.quadint import QuadInt, sign
 from rowpack import compactor, search
 from rowpack.render import to_svg
-from rowpack.search import BLOCK, best, result_to_json, scan_range
+from rowpack.search import BLOCK, SearchResult, best, result_to_json, scan_range
 
 FULL = RowPattern.FULL
 SOFF = RowPattern.SHORT_OFFSET
@@ -60,6 +60,26 @@ def test_argmin_configs_hold_n_circles_in_the_min_area(n):
     for cfg in r.argmin:
         assert cfg.n == n
         assert cfg.area() == r.min_area
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20000), st.data())
+def test_search_result_checks_its_members_against_each_other(n, data):
+    # any part of a tie set, in order, is a result for the same n and area;
+    # the one-row strip (area 4n) joins it only when it ties, and a
+    # reordered part is refused
+    r = best(n)
+    keep = data.draw(st.sets(st.integers(0, len(r.argmin) - 1), min_size=1))
+    part = tuple(r.argmin[i] for i in sorted(keep))
+    got = SearchResult(part)
+    assert (got.n, got.min_area) == (n, r.min_area)
+    strip = ClassConfig(n, 0, FULL, s=1)
+    if strip not in r.argmin:
+        with pytest.raises(ValueError, match=f"does not have n = {n} and area"):
+            SearchResult(tuple(sorted((*part, strip), key=ClassConfig.sort_key)))
+    if len(part) > 1:
+        with pytest.raises(ValueError, match="out of order or repeated"):
+            SearchResult(part[::-1])
 
 
 @settings(max_examples=40, deadline=None)

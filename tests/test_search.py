@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracle import _area, enumerate_members, enumerated_best, members_within
+from rowpack import search
 from rowpack.packings import ClassConfig, RowPattern
 from rowpack.quadint import QuadInt
 from rowpack.search import (
@@ -92,6 +93,47 @@ def test_classify_examples():
     r49, r50 = best(49), best(50)
     assert r50.classification is Classification.REGULAR
     assert (r50.width, r50.height()) == (r49.width, r49.height())
+
+
+def test_search_result_is_built_from_its_argmin():
+    # n = 49 has two argmin members of area 68 + 68*sqrt(3)
+    r49 = best(49)
+    assert SearchResult(r49.argmin) == r49
+    assert (r49.n, r49.min_area) == (49, QuadInt(68, 68))
+    with pytest.raises(TypeError):
+        SearchResult(49, QuadInt(68, 68), r49.argmin)
+
+
+@pytest.mark.parametrize("case", ["empty", "other-n", "other-area", "reversed", "repeated"])
+def test_search_result_rejects_an_argmin_contradicting_itself(case):
+    a, b = best(49).argmin
+    argmin, match = {
+        "empty": ((), "argmin must not be empty"),
+        "other-n": ((a, best(50).argmin[0]), r"does not have n = 49 and area 68 \+ 68\*sqrt\(3\)"),
+        # the one-row strip holds 49 circles in area 196
+        "other-area": ((a, ClassConfig(49, 0, FULL, s=1)), r"\(w=49, h=0, .* does not have n = 49 "
+                                                            r"and area 68 \+ 68\*sqrt\(3\)"),
+        "reversed": ((b, a), "is out of order or repeated"),
+        "repeated": ((a, a, b), "is out of order or repeated"),
+    }[case]
+    with pytest.raises(ValueError, match=match) as exc:
+        SearchResult(argmin)
+    assert "\n" not in str(exc.value)
+
+
+def test_search_result_n_and_area_equal_the_sieves_1_to_5000():
+    # each tie shape (w, h, pattern, s, holes, top) the sieve keeps for n has
+    # the exact minimum area, width * H(h, s), whatever members it holds
+    results = iter(scan_range(1, 5000))
+    for n_lo in range(1, 5001, BLOCK):
+        for n, shapes in enumerate(search._sieve(n_lo, min(n_lo + BLOCK - 1, 5000)), n_lo):
+            r = next(results)
+            assert r.n == n
+            for w, h, pattern, s, _, _ in shapes:
+                width = 2 * w + 1 if h >= 2 and pattern is FULL else 2 * w
+                height = QuadInt(2 * s, 0) if h == 0 else QuadInt(2 + 2 * s, h - 1)
+                assert r.min_area == height * width, (n, w, h, pattern, s)
+    assert next(results, None) is None
 
 
 def test_oracle_equivalence_to_60(oracle_sweep):
@@ -272,8 +314,9 @@ def test_derived_member_fields_cross_processes():
     def derived(results):
         return [[(c.n, c.width_units) for c in r.argmin] for r in results]
 
-    parallel = scan_range(1, 300, jobs=2)
-    assert derived(parallel) == derived(scan_range(1, 300, jobs=1))
+    parallel, serial = scan_range(1, 300, jobs=2), scan_range(1, 300, jobs=1)
+    assert parallel == serial
+    assert derived(parallel) == derived(serial)
     for r in parallel:
         assert {c.n for c in r.argmin} == {r.n}
         assert all(c.width_units * c.height() == r.min_area for c in r.argmin)
@@ -347,11 +390,13 @@ def test_results_line_contradicting_its_argmin_is_rejected(tmp_path):
         path.write_text(dumps({**line, key: wrong}))
         with pytest.raises(ValueError, match=f"line 1: .*\\b{key}\\b"):
             read_results(path)
-    # the writer's own line for an area its member does not have: its area,
+    # a line edited to an area its member does not have: its area,
     # area.float and density agree, so only the member's area contradicts it
-    path.write_text(result_to_line(SearchResult(79, QuadInt(1, 1), best(79).argmin)))
-    with pytest.raises(ValueError, match=r"line 1: .* does not have n = 79 "
-                                         r"and area 1 \+ 1\*sqrt\(3\)"):
+    area = QuadInt(1, 1).to_float()
+    path.write_text(dumps(edited(result_to_json(best(79)), {
+        "area.p": 1, "area.q": 1, "area.float": area, "density": 79 * math.pi / area})))
+    with pytest.raises(ValueError, match=r'line 1: corrupt results line \(area is '
+                                         r'\{"p":1,"q":1,'):
         read_results(path)
 
 
@@ -387,7 +432,9 @@ def test_results_line_spelled_otherwise_is_rejected(tmp_path, spelling):
         text = dumps({k: line[k] for k in keys})
     path = tmp_path / "r.jsonl"
     path.write_text(text)
-    match = "the line is not spelled" if spelling == "aspect-before-density" else "n and area"
+    # json.dumps's default separators put a space after every colon, members' included
+    match = ("no argmin member is spelled" if spelling == "default-separators"
+             else "the line is not spelled")
     with pytest.raises(ValueError, match=f"line 1: corrupt results line \\({match}"):
         read_results(path)
 
@@ -412,7 +459,7 @@ def test_results_line_of_an_area_whose_float_overflows_is_neither_written_nor_re
     # has no inf, so the writer refuses the line, and the reader the same
     # line spelled by json.dumps (Infinity, NaN)
     c = ClassConfig(25 * 10**306, 3, FULL)
-    result = SearchResult(c.n, c.area(), (c,))
+    result = SearchResult((c,))
     with pytest.raises(OverflowError, match="has no float"):
         result_to_line(result)
     path = tmp_path / "r.jsonl"
