@@ -27,21 +27,23 @@ maximum of m(n), an integer pair.  As m(n) <= M and n >= n_lo, the block
 test r*M - 2*n_lo*(2 - sqrt(3))*(1 + s) < (h - 1)*H(h, s) makes the cell
 dead for every n in the block.  Beyond the spread of m(n), it is looser
 than each n's own test only by 2*(2 - sqrt(3))*(1 + s)*(n - n_lo), at most
-2*(2 - sqrt(3))*(1 + s)*(BLOCK - 1).  M and the block's maximum cap C
-stay exact maxima: `_bounds` recomputes them, with the index of an n
-holding each, only after a cell that lowered the cap at one of those two
-n.  Caps only fall, so any other lowering leaves both maxima where they
-were.  Three cut-offs follow:
+2*(2 - sqrt(3))*(1 + s)*(BLOCK - 1).  M stays the exact maximum: `_bounds`
+recomputes it, with the index of an n holding it, only after a cell that
+lowered the cap at that n.  Caps only fall, so any other lowering leaves M
+where it was.  As cap(n) = m(n) + 2*sqrt(3)*n, the pair
+C = M + 2*sqrt(3)*n_hi bounds every cap in the block (in a one-n block it
+is the cap), and its p and q are >= 0: p is a cap's p, and q is at least
+that cap's q.  Three cut-offs follow:
 
 * cell: for fixed h and n, the gap (2n + h - 1)*H(h, s) - r*cap(n) is
   linear in s with slope 2*(2n + h - 1) - cap(n) > 0, so once the block
   test kills (h, s) every n is dead for all larger s and the s loop stops;
 * w: the area grows with w, so the w loop stops at the first area above
-  C.  Width w - 1 holds every n <= top - r that w holds (r = h + s), at a
-  smaller area, as holes(w) - holes(w - 1) <= h - 2 < r for w >= 3 (no
-  holes below).  So w keeps only n > top - r: its run starts at
-  max(top - s - holes, top - r + 1), which grows with w, and the loop
-  stops once that start passes n_hi.  No hole cap is needed;
+  C, which is above every cap.  Width w - 1 holds every n <= top - r that
+  w holds (r = h + s), at a smaller area, as holes(w) - holes(w - 1) <=
+  h - 2 < r for w >= 3 (no holes below).  So w keeps only n > top - r:
+  its run starts at max(top - s - holes, top - r + 1), which grows with w,
+  and the loop stops once that start passes n_hi.  No hole cap is needed;
 * h: as H(h, 0) - sqrt(3)*h = 2 - sqrt(3), each n's gap at s = 0 is
   (h - 1)*H(h, 0) - h*m(n) + 2n*(2 - sqrt(3)), which is at least
   F(h) = (h - 1)*H(h, 0) - h*M + 2*n_lo*(2 - sqrt(3)); the block test
@@ -65,24 +67,27 @@ is strictly above cap(n), and cap(n) never falls below the final minimum;
 caps lowered later only widen the gaps the cuts relied on.
 
 The float filter.  Most exact comparisons would only confirm that an area
-is above a cap: 174k of the scatter's 194k over 1..5000 at BLOCK = 32.
-Beside each cap the sieve keeps capf = fl(p + q*sqrt(3)), set from the
-same pair whenever the cap changes, and it computes each shape's area af
-the same way, once.  As p, q >= 0, each float is within 4u of its value,
-u = 2^-53: one rounding each for sqrt(3), the product and the sum, and one
-for an integer beyond 2^53.  So capf < af*(1 - _MARGIN) proves cap < area
-once _MARGIN exceeds about 10u, and _MARGIN = 1e-12 is some 900 times
-that.  Such an n is skipped by the scatter.  The w cut stops when C's
-float is below af*(1 - _MARGIN), and goes on without an exact test when it
-is above af*(1 + _MARGIN).  `_bounds` skips an n whose cap float is below
-the running C's by that factor, or whose float m(n), capf - 2*sqrt(3)*n,
-is below the running M's by more than _MARGIN*4*n_hi.  m(n) cancels, but
-each of its terms is at most 4*n_hi (every cap is at most 4n), so each
-float m(n) is within about 8u*4*n_hi of its value.  Every other comparison
-takes the exact path: pair equality, then `quadint.sign`.  So every cap
-lowering and every tie is decided exactly, and the float only skips.  Past
-about 1.8e308 an area has no float, and the conversion raises
-OverflowError.
+is above a cap: 320k of the scatter's 340k over 1..5000 at BLOCK = 64,
+counted by a `sign` call beside each scatter comparison in a copy of the
+sieve.  Beside each cap the sieve keeps capf = fl(p + q*sqrt(3)), set from
+the same pair whenever the cap changes, and it computes each shape's area
+af and C's float the same way, once.  As p, q >= 0, each float is within 4u
+of its value, u = 2^-53: one rounding each for sqrt(3), the product and
+the sum, and one for an integer beyond 2^53.  So capf < af*(1 - _MARGIN)
+proves cap < area, and capf > af*(1 + _MARGIN) proves cap > area, once
+_MARGIN exceeds about 10u; _MARGIN = 1e-12 is some 900 times that.  The
+scatter decides both ways: it skips an n whose cap float is below
+af*(1 - _MARGIN) and lowers, with no exact test, a cap whose float is
+above af*(1 + _MARGIN); over 1..5000 that settles all but the 3.2k ties.
+The w cut stops, or goes on, by C's float the same way.  `_bounds` skips
+only by m(n): an n whose float m(n), capf - 2*sqrt(3)*n, is below the
+running M's by more than _MARGIN*4*n_hi.  m(n) cancels, but each of its
+terms is at most 4*n_hi (every cap is at most 4n), so each float m(n) is
+within about 8u*4*n_hi of its value.  Every other comparison takes the
+exact path: pair equality, then `quadint.sign`.  So a float acts only where
+its error bound proves the verdict, and every tie is found by pair
+equality.  Past about 1.8e308 an area has no float, and the conversion
+raises OverflowError.
 
 Square grids (w x s, w >= s) join the ties after the walk.  Their area
 4ws is at least 4n, the first cap, with equality only at n = ws; every
@@ -247,8 +252,9 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
     low, high = 1 - _MARGIN, 1 + _MARGIN
     ties: list[list[tuple]] = [[] for _ in range(size)]
 
-    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq, capf)
-    cf = capf[ic]
+    mp, mq, im = _bounds(n_lo, capp, capq, capf)
+    cq = mq + 2 * n_hi  # C = (mp, cq) = M + 2*sqrt(3)*n_hi bounds every cap
+    cf = mp + cq * _SQRT3
     # h0 minimises (to leading order) the cell bound (2n + h - 1)*H(h, 0)/h at
     # the block's middle n; h walks up from h0, then down from h0 - 1
     h0 = max(2, round(math.sqrt((4 / math.sqrt(3) - 2) * ((n_lo + n_hi) // 2))))
@@ -284,7 +290,7 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
                         p, q = width * hp, width * hq
                         af = p + q * _SQRT3
                         cut = af * low  # a cap float below this is certainly below the area
-                        if cf < cut or (cf <= af * high and _sign(p - cp, q - cq) > 0):
+                        if cf < cut or (cf <= af * high and _sign(p - mp, q - cq) > 0):
                             break  # area grows with w
                         if lo < first:
                             lo = first
@@ -293,17 +299,17 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
                                 continue
                             ci, di = capp[i], capq[i]
                             if p != ci or q != di:
-                                # area <= C by the w cut, so below any cap equal to C
-                                if (ci != cp or di != cq) and _sign(p - ci, q - di) > 0:
+                                # a cap float certainly above the area is lowered unchecked
+                                if capf[i] <= af * high and _sign(p - ci, q - di) > 0:
                                     continue
                                 capp[i], capq[i], capf[i], ties[i] = p, q, af, []
                             ties[i].append((w, h, pattern, s, holes, top))
                         w += 1
-                # M and C move only if the cell lowered the cap at their argmax
-                if (capp[ic] != cp or capq[ic] != cq
-                        or capp[im] != mp or capq[im] != mq + 2 * (n_lo + im)):
-                    mp, mq, cp, cq, im, ic = _bounds(n_lo, capp, capq, capf)
-                    cf = capf[ic]
+                # M, and so C, moves only if the cell lowered the cap at its argmax
+                if capp[im] != mp or capq[im] != mq + 2 * (n_lo + im):
+                    mp, mq, im = _bounds(n_lo, capp, capq, capf)
+                    cq = mq + 2 * n_hi
+                    cf = mp + cq * _SQRT3
                 s += 1
             # Cell (h, 0) is dead for every n: stop once F cannot fall further
             # away from h0 (convexity, see the module docstring).
@@ -323,32 +329,24 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
 
 
 def _bounds(n_lo: int, capp: list[int], capq: list[int],
-            capf: list[float]) -> tuple[int, int, int, int, int, int]:
-    """(M_p, M_q, C_p, C_q, i_M, i_C): the block maxima M of cap(n) - 2*sqrt(3)*n
-    and C of cap(n), and the index of an n holding each.
+            capf: list[float]) -> tuple[int, int, int]:
+    """(M_p, M_q, i_M): the block maximum M of m(n) = cap(n) - 2*sqrt(3)*n, and
+    the index of an n holding it.
 
-    An n whose float cap, or float m(n), is certainly not above the running
-    maximum is skipped; every other n is compared exactly.
+    An n whose float m(n) is certainly below the running maximum is skipped;
+    every other n is compared exactly.
     """
     last = len(capp) - 1
     n = n_lo + last
-    mp, mq = cp, cq = capp[last], capq[last]
-    mq -= 2 * n
-    im = ic = last
-    cf = capf[last]
-    mf = cf - _TWO_SQRT3 * n
-    low, tol = 1 - _MARGIN, _MARGIN * 4 * n  # every cap is at most 4n
-    # caps mostly grow with n, so a walk down meets C early
+    mp, mq, im = capp[last], capq[last] - 2 * n, last
+    mf = capf[last] - _TWO_SQRT3 * n
+    tol = _MARGIN * 4 * n  # every cap is at most 4n
     for i in range(last - 1, -1, -1):
-        f = capf[i]
-        p, q = capp[i], capq[i]
-        if f >= cf * low and (p != cp or q != cq) and _sign(p - cp, q - cq) > 0:
-            cp, cq, ic, cf = p, q, i, f
         n = n_lo + i
-        f -= _TWO_SQRT3 * n
-        if f >= mf - tol and _sign(p - mp, q - 2 * n - mq) > 0:
-            mp, mq, im, mf = p, q - 2 * n, i, f
-    return mp, mq, cp, cq, im, ic
+        f = capf[i] - _TWO_SQRT3 * n
+        if f >= mf - tol and _sign(capp[i] - mp, capq[i] - 2 * n - mq) > 0:
+            mp, mq, im, mf = capp[i], capq[i] - 2 * n, i, f
+    return mp, mq, im
 
 
 def _splits(n: int, shapes: list[tuple]) -> Iterator[tuple]:

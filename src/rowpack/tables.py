@@ -196,11 +196,11 @@ class TableReport:
 
     @property
     def failures(self) -> list[RowCheck]:
-        return [c for c in self.checks if c.erratum is None and not (c.matched and c.star_ok)]
+        return [c for c in self.checks if not (c.matched and c.star_ok)]
 
     @property
     def ok(self) -> bool:
-        return not self.failures and all(c.matched for c in self.errata)
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -250,13 +250,10 @@ def reproduce(which: int) -> TableReport:
         n = result.n
         if n not in table:
             continue
-        err = errata.get(n)
-        if err is not None:
-            matched = _argmin_has(result, *err.corrected)
-            rows = [err.printed]
-        else:
-            rows = table[n]
-            matched = all(_argmin_has(result, *row) for row in rows)
+        rows, err = table[n], errata.get(n)
+        # every printed row is checked; an erratum replaces only its own row
+        matched = all(_argmin_has(result, *(err.corrected if err and row == err.printed else row))
+                      for row in rows)
         checks.append(
             RowCheck(
                 n=n, row=tuple(rows[0]) if len(rows) == 1 else tuple(rows),

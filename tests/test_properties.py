@@ -152,22 +152,24 @@ def assert_area_filter_sound(cap, area):
     exact = sign(cp - ap, cq - aq)
     if capf < af * (1 - search._MARGIN):  # scatter skip, w cut stop
         assert exact < 0, (cap, area)
-    if capf > af * (1 + search._MARGIN):  # w cut: the area is below C
+    if capf > af * (1 + search._MARGIN):  # w cut goes on, scatter lowers the cap
         assert exact > 0, (cap, area)
 
 
 def assert_bounds_exact(n_lo, capp, capq):
     """`_bounds` on caps with p, q >= 0 and p + 2q <= 4n gives the exact
-    maxima C and M, and an index holding each."""
+    maximum M of cap(n) - 2*sqrt(3)*n and an index holding it, and the w
+    cut's bound C = M + 2*sqrt(3)*n_hi is a pair p, q >= 0 above no cap."""
     assert all(p >= 0 and q >= 0 and p + 2 * q <= 4 * (n_lo + i)
                for i, (p, q) in enumerate(zip(capp, capq)))
     capf = [p + q * search._SQRT3 for p, q in zip(capp, capq)]
-    mp, mq, cp, cq, im, ic = search._bounds(n_lo, capp, capq, capf)
-    assert (capp[ic], capq[ic]) == (cp, cq)
+    mp, mq, im = search._bounds(n_lo, capp, capq, capf)
     assert (capp[im], capq[im] - 2 * (n_lo + im)) == (mp, mq)
+    cp, cq = mp, mq + 2 * (n_lo + len(capp) - 1)
+    assert cp >= 0 and cq >= 0
     for i, (p, q) in enumerate(zip(capp, capq)):
-        assert sign(p - cp, q - cq) <= 0
         assert sign(p - mp, q - 2 * (n_lo + i) - mq) <= 0
+        assert sign(p - cp, q - cq) <= 0
 
 
 def pell(limit):
@@ -226,10 +228,13 @@ def test_bounds_are_the_exact_maxima(n_lo, raw, spread):
     assert_bounds_exact(n_lo, capp, capq)
 
 
-def test_forced_exact_sieve_gives_the_same_lines(monkeypatch):
-    # an infinite margin sends every comparison to quadint.sign
+@pytest.mark.parametrize("margin", [1e-4, math.inf], ids=["1e-4", "inf"])
+def test_forced_exact_sieve_gives_the_same_lines(monkeypatch, margin):
+    # an infinite margin sends every comparison to quadint.sign; one of 1e-4
+    # sends 1,184 of the scatter's over 1..3000, 915 of them areas above their
+    # cap, and acting on those floats alone would change 351 lines
     default = [search.result_to_line(r) for r in scan_range(1, 3000)]
-    monkeypatch.setattr(search, "_MARGIN", math.inf)
+    monkeypatch.setattr(search, "_MARGIN", margin)
     assert [search.result_to_line(r) for r in scan_range(1, 3000)] == default
 
 

@@ -226,6 +226,18 @@ def test_scan_5001_to_20000_golden():
     )
 
 
+@pytest.mark.parametrize("n_lo, digest", [
+    (10**7 + 1, "2b88482c4ee4268ba3e2c38f7197cd0f74b06e3a36b91a2e21a0f015d0b57347"),
+    (10**9 + 1, "0974b10b3c4a23e3ad31b94f53f0d3d63da967b2a4b1d07f1ddcd17a2ae2a0a3"),
+    (10**12 + 1, "6cbe3da86de60d3b7c460a4130d385c4cd73cbd10a18349804c4736535c4a7e6"),
+], ids=["10^7+1", "10^9+1", "10^12+1"])
+def test_one_block_golden_past_the_census(n_lo, digest):
+    # sha256 of the JSONL of 64 n (one block) far past the goldens above: the
+    # float filter's verdicts at large n must leave every byte as it was
+    jsonl = "".join(result_to_line(r) for r in scan_range(n_lo, n_lo + 63))
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == digest
+
+
 def dumps(blob) -> str:
     """A JSON value in the writer's compact spelling, newline-terminated."""
     return json.dumps(blob, separators=(",", ":")) + "\n"

@@ -51,6 +51,18 @@ def test_reproduce_table1():
     assert not report.failures
 
 
+def test_reproduce_checks_every_row_of_an_erratum_n(monkeypatch):
+    # n = 12 prints three rows and its erratum corrects only the first: a
+    # bogus fourth row, or a star on the erratum's n, must fail the report
+    monkeypatch.setitem(tables.TABLE1, 12, [*tables.TABLE1[12], (99, 0, 0, 1)])
+    report = tables.reproduce(1)
+    assert not report.ok and [c.n for c in report.failures] == [12]
+    monkeypatch.undo()
+    monkeypatch.setitem(tables.TABLE1_STARS, 12, 1)
+    report = tables.reproduce(1)
+    assert not report.ok and [c.n for c in report.failures] == [12]
+
+
 def test_reproduce_table2():
     report = tables.reproduce(2)
     assert report.ok
