@@ -205,14 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_writable(path: str) -> None:
     """Raise the OSError that open(path, "w") would, without opening path, so
     an unwritable --out fails before the work and a failed command leaves an
-    existing file as it was."""
-    parent = os.path.dirname(path) or "."
+    existing file as it was.  A link is judged by its target; a loop stays a link."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    parent = os.path.dirname(target) or "."
     try:
-        if not stat.S_ISDIR(os.stat(parent).st_mode):  # ENOENT or ENOTDIR on the way
+        if os.path.islink(target):
+            code = errno.ELOOP
+        elif not stat.S_ISDIR(os.stat(parent).st_mode):  # ENOENT or ENOTDIR on the way
             code = errno.ENOTDIR
-        elif os.path.isdir(path):
+        elif os.path.isdir(target):
             code = errno.EISDIR
-        elif not (os.access(path, os.W_OK) if os.path.exists(path)
+        elif not (os.access(target, os.W_OK) if os.path.exists(target)
                   else os.access(parent, os.W_OK | os.X_OK)):  # to create an entry
             code = errno.EACCES
         else:

@@ -99,11 +99,19 @@ class Termination(Enum):
 
 @dataclass(frozen=True, slots=True)
 class CompactorRun:
+    """A run is its trace: (move, width, height, density) at move 0 and each accepted move."""
+
     realization: PackingRealization
-    density: float
-    moves_accepted: int
     terminated: Termination
-    trace: tuple[tuple[int, float, float, float], ...]  # (move, width, height, density)
+    trace: tuple[tuple[int, float, float, float], ...]
+
+    @property
+    def density(self) -> float:
+        return self.trace[-1][3]
+
+    @property
+    def moves_accepted(self) -> int:
+        return len(self.trace) - 1
 
     def trace_csv(self) -> str:
         lines = ["move,width,height,density"]
@@ -343,7 +351,6 @@ def compact(params: CompactorParams) -> CompactorRun:
 
     step = [params.shrink_step, params.shrink_step]  # width side, height side
     trace = [(0, width, height, density())]
-    accepted = 0
     move = 0
     side = 0
     while move < params.max_moves:
@@ -359,7 +366,6 @@ def compact(params: CompactorParams) -> CompactorRun:
         if min(new_w, new_h) >= 2.0 and _relax_core(trial, new_w, new_h, params.relax_iters):
             pts = trial
             width, height = new_w, new_h
-            accepted += 1
             trace.append((move, width, height, density()))
         else:
             step[side] *= 0.5
@@ -372,13 +378,7 @@ def compact(params: CompactorParams) -> CompactorRun:
     final = PackingRealization(
         centers=tuple(map(tuple, pts.tolist())), width=width, height=height
     )
-    return CompactorRun(
-        realization=final,
-        density=density(),
-        moves_accepted=accepted,
-        terminated=terminated,
-        trace=tuple(trace),
-    )
+    return CompactorRun(realization=final, terminated=terminated, trace=tuple(trace))
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,8 +386,14 @@ class BestOfReport:
     run: CompactorRun
     seed: int
     class_density: float
-    gap: float            # (class optimum - best run) / class optimum
-    anomaly: bool         # run beat the class optimum by more than 1e-6
+
+    @property
+    def gap(self) -> float:
+        return (self.class_density - self.run.density) / self.class_density
+
+    @property
+    def anomaly(self) -> bool:
+        return self.run.density > self.class_density + 1e-6
 
     def to_json(self) -> dict:
         return {
@@ -412,11 +418,5 @@ def best_of(params: CompactorParams, seed_count: int) -> BestOfReport:
         run = compact(replace(params, seed=seed))
         if best_run is None or run.density > best_run.density:
             best_run, best_seed = run, seed
-    opt = search.best(params.n).density()
-    return BestOfReport(
-        run=best_run,
-        seed=best_seed,
-        class_density=opt,
-        gap=(opt - best_run.density) / opt,
-        anomaly=best_run.density > opt + 1e-6,
-    )
+    return BestOfReport(run=best_run, seed=best_seed,
+                        class_density=search.best(params.n).density())

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 
 from .quadint import QuadInt
@@ -159,22 +160,31 @@ class PackingRealization:
         )
 
 
+@lru_cache(maxsize=4096)
+def _exact_height(h: int, s: int) -> tuple[int, int]:
+    # one tuple per height: a tuple per member slowed the census benchmark 7%
+    return (2 + 2 * s, h - 1) if h else (2 * s, 0)
+
+
 @dataclass(frozen=True, slots=True)
 class ClassConfig:
     """One member of the search class.  Validated on construction: a count
     that is not an int (a float or bool is not read as one), a pattern that
     is not a RowPattern, or parameters outside the class, raise a ValueError.
 
-    n, the circle count w*(h + s) - h_minus - s_minus - d, and width_units,
-    the rectangle width in radii (2w + 1 for a full hex block, else 2w), are
-    derived once; equality, hashing and repr use the six parameters only.
+    Three fields are derived once: n, the circle count
+    w*(h + s) - h_minus - s_minus - d; width_units, the rectangle width in
+    radii (2w + 1 for a full hex block, else 2w); and height_pair, the exact
+    height (2 + 2s) + (h - 1)*sqrt(3), or 2s for h = 0, as the pair (p, q),
+    on which density and aspect_ratio repeat QuadInt.to_float's float steps.
+    Equality, hashing and repr use the six parameters only.
 
     A census builds one per argmin member, twice (search, then read-back), so
-    construction is kept lean.  On Python 3.11 the frozen dataclass's own
-    __init__ costs about 2.8 us, a class lookup such as RowPattern.FULL
-    0.21 us and a RowPattern.h_minus call 0.51 us; so `__post_init__` tests
-    the pattern by identity against module aliases and computes h_minus
-    inline.
+    construction is kept lean: on Python 3.11 (shared 2-vCPU VM) a holed hex
+    member takes about 2.1 us to build, a lookup such as RowPattern.FULL
+    0.10 us against 0.01 us for a module alias, and a RowPattern.h_minus call
+    0.055 us against 0.035 us inline.  So `__post_init__` tests the pattern
+    by identity against module aliases and computes h_minus inline.
     """
 
     w: int
@@ -185,6 +195,7 @@ class ClassConfig:
     d: int = 0
     n: int = field(init=False, repr=False, compare=False)
     width_units: int = field(init=False, repr=False, compare=False)
+    height_pair: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w, h, s, s_minus, d = self.w, self.h, self.s, self.s_minus, self.d
@@ -228,6 +239,7 @@ class ClassConfig:
             raise ValueError("empty configuration")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "width_units", 2 * w + 1 if h >= 2 and full else 2 * w)
+        object.__setattr__(self, "height_pair", _exact_height(h, s))
 
     # counting --------------------------------------------------------------
 
@@ -260,20 +272,19 @@ class ClassConfig:
     # exact dimensions -------------------------------------------------------
 
     def height(self) -> QuadInt:
-        """Rectangle height: (2 + 2s) + (h-1)*sqrt(3); plain 2s for h=0."""
-        if self.h == 0:
-            return QuadInt(2 * self.s, 0)
-        return QuadInt(2 + 2 * self.s, self.h - 1)
+        return QuadInt(*self.height_pair)
 
     def area(self) -> QuadInt:
         return self.height() * self.width_units
 
     def density(self) -> float:
-        return self.n * math.pi / self.area().to_float()
+        (p, q), width = self.height_pair, self.width_units
+        return self.n * math.pi / (width * p + width * q * _SQRT3)
 
     def aspect_ratio(self) -> float:
         """height/width in canonical orientation (always <= 1)."""
-        ratio = self.height().to_float() / self.width_units
+        p, q = self.height_pair
+        ratio = (p + q * _SQRT3) / self.width_units
         return ratio if ratio <= 1.0 else 1.0 / ratio
 
     # realization -------------------------------------------------------------

@@ -140,11 +140,6 @@ _MAY_HAVE_HOLE = Classification.MAY_HAVE_HOLE
 _MUST_HAVE_HOLE = Classification.MUST_HAVE_HOLE
 
 
-def _height_pair(h: int, s: int) -> tuple[int, int]:
-    """ClassConfig.height as an integer pair (p, q), with no QuadInt built."""
-    return (2 * s, 0) if h == 0 else (2 + 2 * s, h - 1)
-
-
 @dataclass(frozen=True, slots=True)
 class SearchResult:
     """The exact minimum area for n and its complete tie set, sorted, given as argmin
@@ -163,17 +158,15 @@ class SearchResult:
         if not argmin:
             raise ValueError("argmin must not be empty")
         rep = argmin[0]
-        n, width, h, s = rep.n, rep.width_units, rep.h, rep.s
-        # width times _height_pair(h, s), inlined: most n take no other call
-        p, q = (width * 2 * s, 0) if h == 0 else (width * (2 + 2 * s), width * (h - 1))
+        n, width, (hp, hq) = rep.n, rep.width_units, rep.height_pair
+        p, q = width * hp, width * hq
         min_d = max_d = rep.d
         if len(argmin) == 1:  # most n: one member, one shape, and no set to build
             shape_count = 1
         else:
             shapes, last = set(), ()
             for c in argmin:
-                width, h, s = c.width_units, c.h, c.s
-                hp, hq = _height_pair(h, s)
+                width, (hp, hq) = c.width_units, c.height_pair
                 if c.n != n or width * hp != p or width * hq != q:
                     raise ValueError(f"argmin member {c} does not have n = {n} "
                                      f"and area {p} + {q}*sqrt(3)")
@@ -185,7 +178,7 @@ class SearchResult:
                     min_d = d
                 elif d > max_d:
                     max_d = d
-                shapes.add((width, h, s))  # (h, s) fixes the height
+                shapes.add((width, hp, hq))
             shape_count = len(shapes)
         if min_d >= 1:
             cls = _MUST_HAVE_HOLE
@@ -483,13 +476,13 @@ def result_to_json(result: SearchResult) -> dict:
     """A results line as a dict, its floats from the ClassConfig methods: the
     reference `result_to_line` is tested against, byte for byte."""
     rep = result.argmin[0]
-    height = rep.height()
+    hp, hq = rep.height_pair
     line = {
         "n": result.n,
         "area": {"p": result.min_area.p, "q": result.min_area.q,
                  "float": result.min_area.to_float()},
         "width": rep.width_units,
-        "height": {"p": height.p, "q": height.q},
+        "height": {"p": hp, "q": hq},
         "density": rep.density(),
         "aspect": rep.aspect_ratio(),
         "class": result.classification._value_,
@@ -557,24 +550,16 @@ def result_to_line(result: SearchResult) -> str:
     Formatted directly, with no dict and no `json.dumps`, as the line costs
     more than the search: ints print by str and floats by repr, as json
     prints finite floats, and the enum values are plain ASCII, so nothing
-    needs escaping.  The floats are those `result_to_json` computes, by the
-    same float operations on the same integers as QuadInt.to_float,
-    ClassConfig.density and ClassConfig.aspect_ratio, but from the area and
-    height as integer pairs: on Python 3.11 each QuadInt built for a height
-    costs about 1.0 us, and each enum .value 0.26 us against 0.02 us for
-    _value_.
+    needs escaping.  The floats are the member's own: the area's to_float
+    and the first member's density and aspect_ratio.  Each enum is read by
+    _value_, which on Python 3.11 costs 0.02 us against 0.26 us for .value.
     """
     rep = result.argmin[0]
-    n, area = result.n, result.min_area
-    p, q = area.p, area.q
-    width = rep.width_units
-    hp, hq = _height_pair(rep.h, rep.s)
-    area_f = p + q * _SQRT3  # QuadInt.to_float: the float ClassConfig.density divides by
+    area = result.min_area
+    area_f = area.to_float()
     if area_f == math.inf:
-        raise OverflowError(f"area {p} + {q}*sqrt(3) has no float: JSON has no inf")
-    aspect = (hp + hq * _SQRT3) / width  # ClassConfig.aspect_ratio
-    if aspect > 1.0:
-        aspect = 1.0 / aspect
+        raise OverflowError(f"area {area.p} + {area.q}*sqrt(3) has no float: JSON has no inf")
+    hp, hq = rep.height_pair
     cls = result.classification
     members = ",".join([
         f'{{"w":{c.w},"h":{c.h},"pattern":"{c.pattern._value_}","s":{c.s},'
@@ -589,9 +574,9 @@ def result_to_line(result: SearchResult) -> str:
                 f'"new_density":{m.new_density!r},'
                 f'"rattler_note":{"true" if m.rattler_note else "false"},'
                 f'"remaining_holes":{m.remaining_holes}}}')
-    return (f'{{"n":{n},"area":{{"p":{p},"q":{q},"float":{area_f!r}}},'
-            f'"width":{width},"height":{{"p":{hp},"q":{hq}}},'
-            f'"density":{n * math.pi / area_f!r},"aspect":{aspect!r},'
+    return (f'{{"n":{result.n},"area":{{"p":{area.p},"q":{area.q},"float":{area_f!r}}},'
+            f'"width":{rep.width_units},"height":{{"p":{hp},"q":{hq}}},'
+            f'"density":{rep.density()!r},"aspect":{rep.aspect_ratio()!r},'
             f'"class":"{cls._value_}","min_d":{result.min_d},"shapes":{result.shape_count},'
             f'"argmin":[{members}]{tail}}}\n')
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rowpack import search
 from rowpack.cli import build_parser, main
 from rowpack.packings import ClassConfig
 from rowpack.search import SearchResult, scan_range, write_results
@@ -249,13 +250,25 @@ def test_compact_negative_seed_is_one_line_error(capsys):
     ["compact", "--n", "2", "--seed", "1"],
     ["render", "--n", "5"],
 ], ids=lambda argv: argv[0])
-def test_unwritable_out_is_one_line_error(tmp_path, capsys, argv):
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        pytest.fail("the command ran before --out was checked")
+
+    monkeypatch.setattr(search, "iter_range", no_work)
+    monkeypatch.setattr(search, "best", no_work)
     missing = tmp_path / "missing" / "out"
-    code, out, err = run_cli(capsys, *argv, "--out", str(missing))
-    assert code == 2
-    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
-    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
-    assert out == ""  # checked before the work: compact prints its report first
+    dangling = tmp_path / "dangling"  # a link into the missing directory
+    dangling.symlink_to(missing)
+    loop = tmp_path / "loop"  # a link to itself
+    loop.symlink_to(loop)
+    for path, want in ((missing, "[Errno 2] No such file or directory"),
+                       (dangling, "[Errno 2] No such file or directory"),
+                       (loop, "[Errno 40] Too many levels of symbolic links")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert err == f"error: {want}: {str(path)!r}\n"
+        assert out == ""  # checked before the work: compact prints its report first
 
 
 def test_failed_command_leaves_existing_out_unchanged(tmp_path, capsys):
@@ -326,8 +339,6 @@ class RecordingPool:
 
 
 def test_pool_capped_by_span_and_cores(capsys, monkeypatch):
-    from rowpack import search
-
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunksizes", [])
@@ -381,8 +392,6 @@ class ReturningPool(RecordingPool):
     ["range", "--from", "1"], ["irregular"], ["milestones"], ["aspect"],
 ], ids=lambda argv: argv[0])
 def test_workers_send_back_views_not_search_results(capsys, monkeypatch, argv):
-    from rowpack import search
-
     monkeypatch.setattr(multiprocessing, "Pool", ReturningPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunksizes", [])

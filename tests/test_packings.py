@@ -200,14 +200,15 @@ def test_hybrid_coordinates_validity():
 
 def test_derived_fields_left_out_of_equality_hash_and_repr():
     cfg = ClassConfig(16, 5, FULL, d=1)
-    assert (cfg.n, cfg.width_units) == (79, 33)
+    assert (cfg.n, cfg.width_units, cfg.height_pair) == (79, 33, (2, 4))
     twin = ClassConfig(16, 5, FULL, d=1)
     object.__setattr__(twin, "n", 0)  # only the six parameters are compared
     object.__setattr__(twin, "width_units", 0)
+    object.__setattr__(twin, "height_pair", (0, 0))
     assert twin == cfg and hash(twin) == hash(cfg)
     assert repr(cfg) == "ClassConfig(w=16, h=5, pattern=<RowPattern.FULL: 'full'>, s=0, s_minus=0, d=1)"
     derived = [f.name for f in dataclasses.fields(ClassConfig) if not f.init]
-    assert derived == ["n", "width_units"]
+    assert derived == ["n", "width_units", "height_pair"]
     with pytest.raises(TypeError):
         ClassConfig(16, 5, FULL, 0, 0, 1, 79)
 
@@ -217,7 +218,8 @@ def test_derived_fields_survive_pickle():
                 ClassConfig(17, 3, SOUT)):
         back = pickle.loads(pickle.dumps(cfg))
         assert back == cfg
-        assert (back.n, back.width_units) == (cfg.n, cfg.width_units)
+        assert ((back.n, back.width_units, back.height_pair)
+                == (cfg.n, cfg.width_units, cfg.height_pair))
 
 
 def test_invalid_member_raises_before_deriving():

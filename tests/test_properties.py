@@ -4,12 +4,13 @@ against quadint.sign, the overlap kernel in rowpack.packings, the
 neighbour-list relaxation in rowpack.compactor against its all-pairs loop,
 and the memoised SVG renderer against a per-circle one."""
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from naive_oracle import enumerated_best
+from naive_oracle import _area, enumerated_best
 from rowpack.cli import main
 from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_violation
 from rowpack.quadint import QuadInt, sign
@@ -233,9 +234,20 @@ def test_forced_exact_sieve_gives_the_same_lines(monkeypatch, margin):
     # an infinite margin sends every comparison to quadint.sign; one of 1e-4
     # sends 1,184 of the scatter's over 1..3000, 915 of them areas above their
     # cap, and acting on those floats alone would change 351 lines
-    default = [search.result_to_line(r) for r in scan_range(1, 3000)]
-    monkeypatch.setattr(search, "_MARGIN", margin)
-    assert [search.result_to_line(r) for r in scan_range(1, 3000)] == default
+    def timeout(signum, frame):
+        raise AssertionError("the scans ran past 60 s: a scatter that lowers caps on "
+                             "ambiguous floats raises them, and the cuts stop pruning")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 60)  # both scans take about 0.2 s
+    try:
+        default = [search.result_to_line(r) for r in scan_range(1, 3000)]
+        monkeypatch.setattr(search, "_MARGIN", margin)
+        forced = [search.result_to_line(r) for r in scan_range(1, 3000)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert forced == default
 
 
 def pairwise_violation(pts, width, height):
@@ -475,6 +487,16 @@ def class_configs(draw):
     cfg = ClassConfig(w, h, pattern, s=s, s_minus=s_minus)
     d = draw(st.integers(0, min(cfg.hole_capacity(), 6)))
     return ClassConfig(w, h, pattern, s=s, s_minus=s_minus, d=d)
+
+
+@given(class_configs())
+def test_height_pair_gives_the_oracle_area_and_the_floats(cfg):
+    (p, q), width = cfg.height_pair, cfg.width_units
+    assert (width * p, width * q) == _area(cfg.w, cfg.h, cfg.pattern.value, cfg.s)
+    # the float methods build no QuadInt, yet give QuadInt's floats bit for bit
+    assert cfg.density() == cfg.n * math.pi / cfg.area().to_float()
+    ratio = cfg.height().to_float() / width
+    assert cfg.aspect_ratio() == min(ratio, 1.0 / ratio)
 
 
 @st.composite

@@ -322,9 +322,9 @@ def test_scan_range_parallel_matches_serial():
 
 
 def test_derived_member_fields_cross_processes():
-    # ClassConfig equality ignores n and width_units, so compare them directly
+    # ClassConfig equality ignores its derived fields, so compare them directly
     def derived(results):
-        return [[(c.n, c.width_units) for c in r.argmin] for r in results]
+        return [[(c.n, c.width_units, c.height_pair) for c in r.argmin] for r in results]
 
     parallel, serial = scan_range(1, 300, jobs=2), scan_range(1, 300, jobs=1)
     assert parallel == serial
