@@ -9,38 +9,39 @@ parent only counts, folds and writes.  `_emit` writes every output as it is
 produced: `range`, `irregular` and `aspect` write each line as its block of
 n arrives, so memory stays flat at both job counts (31 MB peak RSS over
 1..300000 at --jobs 1, as for `milestones`; over 1..10^6, 30 MB at
---jobs 1 and 38 MB in the largest process at --jobs 2).  `main` checks
-that --out can be written before the command runs, without opening it;
-`_emit` opens it only once the first chunk is made.  `main` reports every
-failure as one `error:` line with exit status 2.  Compactor commands
-require exactly one of --seed and --seeds.  Exit status is nonzero
-whenever a reproduction report falls short.  `import rowpack.cli` loads
-only the search; each command imports the other modules it runs (tables,
-theory, render, the compactor) when it runs.
+--jobs 1 and 38 MB in the largest process at --jobs 2).  `main` opens
+--out once, before the command runs, for appending, which changes nothing;
+`_emit` empties it only once the first chunk is made, and a failed command
+removes a file `main` created.  `main` reports every failure as one `error:`
+line with exit status 2.  Compactor commands require exactly one of --seed
+and --seeds.  Exit status is nonzero whenever a reproduction report falls
+short.  `import rowpack.cli` loads only the search; each command imports
+the other modules it runs (tables, theory, render, the compactor) when it runs.
 """
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
-import stat
 import sys
 from collections.abc import Iterable
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
+from typing import TextIO
 
 from . import search
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write chunks to the --out file, or to stdout, as they are produced.
-    The first chunk is made before --out is opened, so a command that fails
-    before its first output leaves an existing file as it was."""
+def _emit(chunks: Iterable[str], out: TextIO | None) -> None:
+    """Write chunks to the opened --out file, or to stdout, as they are
+    produced.  The first chunk is made before an existing file is emptied, so
+    a command that fails before its first output leaves it as it was."""
     chunks = iter(chunks)
     first = next(chunks, "")
-    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        fh.write(first)
-        fh.writelines(chunks)
+    if out and out.seekable() and out.tell():  # not a FIFO or /dev/null
+        out.truncate(0)  # append mode: the writes then start at 0
+    fh = out or sys.stdout
+    fh.write(first)
+    fh.writelines(chunks)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -202,36 +203,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that open(path, "w") would, without opening path, so
-    an unwritable --out fails before the work and a failed command leaves an
-    existing file as it was.  A link is judged by its target; a loop stays a link."""
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    parent = os.path.dirname(target) or "."
+def _open_out(path: str) -> tuple[TextIO, str | None]:
+    """Open --out for appending, which truncates nothing, so an unwritable
+    path fails with open's own error before any work and a FIFO is opened
+    once.  Also return the path of the file this call created, which a failed
+    command removes: an exclusive create decides it, but for a dangling link,
+    which that refuses, whether the target exists just before it is opened."""
     try:
-        if os.path.islink(target):
-            code = errno.ELOOP
-        elif not stat.S_ISDIR(os.stat(parent).st_mode):  # ENOENT or ENOTDIR on the way
-            code = errno.ENOTDIR
-        elif os.path.isdir(target):
-            code = errno.EISDIR
-        elif not (os.access(target, os.W_OK) if os.path.exists(target)
-                  else os.access(parent, os.W_OK | os.X_OK)):  # to create an entry
-            code = errno.EACCES
-        else:
-            return
-    except OSError as exc:
-        code = exc.errno
-    raise OSError(code, os.strerror(code), path)
+        return open(path, "x", encoding="utf-8"), path
+    except FileExistsError:
+        created = None if os.path.exists(path) else os.path.realpath(path)
+        return open(path, "a", encoding="utf-8"), created
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    created = None
     try:
         if args.out:
-            _check_writable(args.out)
-        return args.func(args)
+            args.out, created = _open_out(args.out)
+        with args.out or nullcontext():
+            return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
+        if created is not None:
+            with suppress(FileNotFoundError):
+                os.remove(created)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

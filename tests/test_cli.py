@@ -1,16 +1,19 @@
+import contextlib
 import json
 import multiprocessing
 import os
 import pickle
 import resource
 import shlex
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from rowpack import search
+from rowpack import search, theory
 from rowpack.cli import build_parser, main
 from rowpack.packings import ClassConfig
 from rowpack.search import SearchResult, scan_range, write_results
@@ -256,19 +259,28 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
 
     monkeypatch.setattr(search, "iter_range", no_work)
     monkeypatch.setattr(search, "best", no_work)
+    monkeypatch.setattr(theory, "waste_constants", no_work)  # theory runs no search
     missing = tmp_path / "missing" / "out"
     dangling = tmp_path / "dangling"  # a link into the missing directory
     dangling.symlink_to(missing)
     loop = tmp_path / "loop"  # a link to itself
     loop.symlink_to(loop)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    is_dir = "[Errno 21] Is a directory"
     for path, want in ((missing, "[Errno 2] No such file or directory"),
                        (dangling, "[Errno 2] No such file or directory"),
-                       (loop, "[Errno 40] Too many levels of symbolic links")):
+                       (loop, "[Errno 40] Too many levels of symbolic links"),
+                       (f"{tmp_path / 'missing'}/", is_dir),
+                       (f"{afile}/", is_dir),
+                       (tmp_path / ("x" * 300), "[Errno 36] File name too long")):
         code, out, err = run_cli(capsys, *argv, "--out", str(path))
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
         assert err == f"error: {want}: {str(path)!r}\n"
         assert out == ""  # checked before the work: compact prints its report first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling", "loop"]
+    assert afile.read_text() == "keep\n"
 
 
 def test_failed_command_leaves_existing_out_unchanged(tmp_path, capsys):
@@ -287,6 +299,53 @@ def test_failed_command_leaves_existing_out_unchanged(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err == "error: int too large to convert to float\n"
         assert out_path.read_text() == "keep\n", argv
+    # a failed command removes a file it created: a new path is left absent,
+    # and a dangling link into an existing directory is left dangling
+    fresh = tmp_path / "fresh.json"
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "target")
+    for path in (fresh, link):
+        code, out, err = run_cli(capsys, "search", "--n", "0", "--out", str(path))
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+    assert not fresh.exists() and not (tmp_path / "target").exists()
+    assert link.is_symlink()
+    assert run_cli(capsys, "search", "--n", "5", "--out", os.devnull)[:2] == (0, "")
+    # a command that succeeds replaces the existing file's bytes
+    assert run_cli(capsys, "search", "--n", "5", "--out", str(out_path))[:2] == (0, "")
+    assert out_path.read_text() == run_cli(capsys, "search", "--n", "5")[1]
+
+
+def test_out_fifo_is_opened_once(tmp_path, capsys, monkeypatch):
+    # --out is opened once, before the work, so one reader of a named FIFO
+    # sees end of file only after the whole output
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    best = search.best
+
+    def waiting_best(n):
+        reader.join(0.2)  # a reader sent end of file early is done by now
+        return best(n)
+
+    def timeout(signum, frame):
+        raise AssertionError("the command blocked on --out: its reader had seen end of file")
+
+    monkeypatch.setattr(search, "best", waiting_best)
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)  # the command takes about 0.2 s
+    try:
+        code, out, err = run_cli(capsys, "search", "--n", "5", "--out", str(fifo))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if reader.is_alive():  # still waiting for a writer: let it go
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(5)
+    assert (code, out, err) == (0, "", "")
+    assert got == [run_cli(capsys, "search", "--n", "5")[1]]
 
 
 def test_compact_single_run(tmp_path, capsys):

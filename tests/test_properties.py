@@ -406,26 +406,31 @@ def test_relax_neighbour_list_equals_all_pairs(case):
     assert pts.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize(("case", "sweeps"), [(FIXED_POINT, 3), (PERIOD_2, 77)],
+@pytest.mark.parametrize(("case", "iterations", "sweeps"),
+                         [(FIXED_POINT, 3, 3), (PERIOD_2, 67, 77)],
                          ids=["fixed_point", "period_2"])
-def test_relax_stops_at_fixed_point(monkeypatch, case, sweeps):
-    """The fixed point ends the loop 2 sweeps after it is reached, where the
-    all-pairs loop runs 62 sweeps to the stall rule.  The period-2 cycle
-    never repeats one iteration's state, so the exit must not fire there:
-    77 sweeps, as the all-pairs loop runs.  Either way pts and the flag
-    equal the all-pairs loop's bit for bit."""
+def test_relax_stops_at_fixed_point(monkeypatch, case, iterations, sweeps):
+    """The fixed point ends the loop 2 iterations after it is reached, where
+    the all-pairs loop runs 62 iterations to the stall rule.  The period-2
+    cycle never repeats one iteration's state, so the exit must not fire
+    there: 67 iterations, as the all-pairs loop runs.  They make 77 _sweep
+    calls: each iteration's first pass, plus 10 passes resumed after a push
+    dropped the neighbour list mid-sweep.  A resumed pass carries the
+    positive worst of the pass it resumes, so a first pass is a call whose
+    worst argument is 0.0.  Either way pts and the flag equal the all-pairs
+    loop's bit for bit."""
     counted = []
     sweep = compactor._sweep
 
-    def counting_sweep(*args):
-        counted.append(1)
-        return sweep(*args)
+    def counting_sweep(xs, ys, rows, worst, *args):
+        counted.append(worst)
+        return sweep(xs, ys, rows, worst, *args)
 
     monkeypatch.setattr(compactor, "_sweep", counting_sweep)
     pts, width, height, iters = relax_case(*case)
     ref = pts.copy()
     assert not compactor._relax_core(pts, width, height, iters)
-    assert len(counted) == sweeps
+    assert (counted.count(0.0), len(counted)) == (iterations, sweeps)
     assert not all_pairs_relax(ref, width, height, iters)
     assert pts.tobytes() == ref.tobytes()
     if case is FIXED_POINT:
