@@ -40,8 +40,11 @@ class MoveKind(Enum):
     H5_SHORT_OUTER_RELOCATION = "h5_short_outer_relocation"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ImprovementReport:
+    """A move's result; built as ClassConfig is, each slot stored once through
+    its member-descriptor setter."""
+
     move: MoveKind
     delta: float
     new_width: float
@@ -49,6 +52,29 @@ class ImprovementReport:
     new_density: float
     rattler_note: bool
     remaining_holes: int = 0
+
+    def __init__(self, move: MoveKind, delta: float, new_width: float, new_area: float,
+                 new_density: float, rattler_note: bool, remaining_holes: int = 0) -> None:
+        _set_move(self, move)
+        _set_delta(self, delta)
+        _set_new_width(self, new_width)
+        _set_new_area(self, new_area)
+        _set_new_density(self, new_density)
+        _set_rattler_note(self, rattler_note)
+        _set_remaining_holes(self, remaining_holes)
+
+
+# Each slot's member-descriptor setter, bound once (see packings.ClassConfig)
+(_set_move, _set_delta, _set_new_width, _set_new_area, _set_new_density,
+ _set_rattler_note, _set_remaining_holes) = (
+    ImprovementReport.__dict__[name].__set__ for name in ImprovementReport.__slots__)
+
+# module aliases: a lookup such as RowPattern.FULL goes through the enum metaclass
+_FULL = RowPattern.FULL
+_SHORT_OFFSET = RowPattern.SHORT_OFFSET
+_SIDE = MoveKind.ODD_H_SIDE_RELOCATION
+_H5 = MoveKind.H5_SHORT_OUTER_RELOCATION
+_SQRT3 = math.sqrt(3.0)
 
 
 def improvement(cfg: ClassConfig) -> ImprovementReport | None:
@@ -64,13 +90,14 @@ def improvement(cfg: ClassConfig) -> ImprovementReport | None:
     h, pattern = cfg.h, cfg.pattern
     if h % 2 == 0:
         return None
-    if pattern is RowPattern.FULL or (h == 3 and pattern is RowPattern.SHORT_OFFSET):
-        move, delta = MoveKind.ODD_H_SIDE_RELOCATION, DELTA_SIDE
+    if pattern is _FULL or (h == 3 and pattern is _SHORT_OFFSET):
+        move, delta = _SIDE, DELTA_SIDE
     elif h == 5:
-        move, delta = MoveKind.H5_SHORT_OUTER_RELOCATION, DELTA_H5
+        move, delta = _H5, DELTA_H5
     else:
         return None
     new_width = cfg.width_units - delta
-    new_area = new_width * cfg.height().to_float()
+    p, q = cfg.height_pair
+    new_area = new_width * (p + q * _SQRT3)  # QuadInt.to_float's steps, with no QuadInt
     return ImprovementReport(move, delta, new_width, new_area, cfg.n * math.pi / new_area,
                              rattler_note=True, remaining_holes=cfg.d - 1)

@@ -20,12 +20,22 @@ from dataclasses import dataclass
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuadInt:
-    """p + q*sqrt(3).  Immutable; safe for unrestricted concurrent use."""
+    """p + q*sqrt(3).  Immutable; safe for unrestricted concurrent use.
+
+    A component that is not an int (a float or bool is not read as one) is a
+    one-line ValueError: the ring, and so `sign`, is exact on ints only.
+    """
 
     p: int
     q: int
+
+    def __init__(self, p: int, q: int) -> None:
+        if not (type(p) is type(q) is int):
+            raise ValueError(f"p and q must be ints, got {p!r} and {q!r}")
+        _set_p(self, p)
+        _set_q(self, q)
 
     # ring arithmetic ------------------------------------------------------
 
@@ -83,6 +93,12 @@ class QuadInt:
         if self.q == 0:
             return str(self.p)
         return f"{self.p}{self.q:+d}*sqrt(3)"
+
+
+# Each slot's member-descriptor setter, bound once: it stores the slot of a
+# frozen instance at about half the cost of object.__setattr__, which the
+# generated __init__ of a frozen dataclass calls once per field.
+_set_p, _set_q = (QuadInt.__dict__[name].__set__ for name in QuadInt.__slots__)
 
 
 def sign(p: int, q: int) -> int:

@@ -140,12 +140,14 @@ _MAY_HAVE_HOLE = Classification.MAY_HAVE_HOLE
 _MUST_HAVE_HOLE = Classification.MUST_HAVE_HOLE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SearchResult:
     """The exact minimum area for n and its complete tie set, sorted, given as argmin
     alone: n and min_area are argmin[0]'s, and every other field is derived once.  A
-    one-line ValueError unless argmin is nonempty and each member holds n circles in
-    that exact area, strictly after the one before in `ClassConfig.sort_key` order."""
+    one-line ValueError unless argmin is a nonempty tuple of ClassConfig, each member
+    holding n circles in that exact area, strictly after the one before in
+    `ClassConfig.sort_key` order.  Built as ClassConfig is: `__init__` checks and
+    derives, then stores each slot once through its member-descriptor setter."""
     argmin: tuple[ClassConfig, ...]
     n: int = field(init=False)
     min_area: QuadInt = field(init=False)
@@ -153,11 +155,14 @@ class SearchResult:
     min_d: int = field(init=False)
     shape_count: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        argmin = self.argmin
+    def __init__(self, argmin: tuple[ClassConfig, ...]) -> None:
+        if type(argmin) is not tuple:
+            raise ValueError(f"argmin must be a tuple of ClassConfig, got a {type(argmin).__name__}")
         if not argmin:
             raise ValueError("argmin must not be empty")
         rep = argmin[0]
+        if type(rep) is not ClassConfig:
+            raise ValueError(f"argmin member {rep!r} is not a ClassConfig")
         n, width, (hp, hq) = rep.n, rep.width_units, rep.height_pair
         p, q = width * hp, width * hq
         min_d = max_d = rep.d
@@ -166,6 +171,8 @@ class SearchResult:
         else:
             shapes, last = set(), ()
             for c in argmin:
+                if type(c) is not ClassConfig:
+                    raise ValueError(f"argmin member {c!r} is not a ClassConfig")
                 width, (hp, hq) = c.width_units, c.height_pair
                 if c.n != n or width * hp != p or width * hq != q:
                     raise ValueError(f"argmin member {c} does not have n = {n} "
@@ -186,11 +193,12 @@ class SearchResult:
             cls = _REGULAR
         else:
             cls = _MAY_HAVE_HOLE
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "min_area", QuadInt(p, q))
-        object.__setattr__(self, "classification", cls)
-        object.__setattr__(self, "min_d", min_d)
-        object.__setattr__(self, "shape_count", shape_count)
+        _set_argmin(self, argmin)
+        _set_n(self, n)
+        _set_min_area(self, QuadInt(p, q))
+        _set_classification(self, cls)
+        _set_min_d(self, min_d)
+        _set_shape_count(self, shape_count)
 
     @property
     def width(self) -> int:
@@ -205,6 +213,10 @@ class SearchResult:
     def aspect_ratio(self) -> float:
         return self.argmin[0].aspect_ratio()
 
+
+# Each slot's member-descriptor setter, bound once (see packings.ClassConfig)
+_set_argmin, _set_n, _set_min_area, _set_classification, _set_min_d, _set_shape_count = (
+    SearchResult.__dict__[name].__set__ for name in SearchResult.__slots__)
 
 # n per block and blocks per pool task; the module docstring gives the measurements
 BLOCK = 64

@@ -50,6 +50,13 @@ def test_applicable_move():
         improvement(ClassConfig(17, 3, SOFF, d=0))
 
 
+def test_new_area_is_new_width_times_the_exact_height_float():
+    for cfg in (ClassConfig(17, 3, SOFF, d=1), ClassConfig(16, 5, FULL, d=1),
+                ClassConfig(20, 5, SOUT, d=1), ClassConfig(40, 3, SOFF, s=0, d=2)):
+        report = improvement(cfg)
+        assert report.new_area == report.new_width * cfg.height().to_float()  # bit for bit
+
+
 def test_improved_density_49():
     report = improvement(ClassConfig(17, 3, SOFF, d=1))
     assert report.new_density == pytest.approx(0.83200266, abs=1e-7)

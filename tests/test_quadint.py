@@ -101,3 +101,16 @@ def test_mul_properties_random():
             assert a * b == b * a
             for c in vals[:5]:
                 assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 2), (1, 2.0), (True, 0), (1, False), (np.int64(1), 2)],
+                         ids=repr)
+def test_component_that_is_not_an_int_is_rejected(p, q):
+    # QuadInt(1.5, 2).sign() would decide in floats, outside the exact ring
+    with pytest.raises(ValueError, match=r"^p and q must be ints, got [^\n]*$"):
+        QuadInt(p, q)
+
+
+def test_float_factor_is_rejected():
+    with pytest.raises(ValueError, match="p and q must be ints, got 0.5 and 0.5"):
+        QuadInt(1, 1) * 0.5

@@ -121,6 +121,39 @@ def test_search_result_rejects_an_argmin_contradicting_itself(case):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("case", ["list", "generator", "tuple-member", "none-member", "second"])
+def test_search_result_rejects_an_argmin_that_is_not_a_tuple_of_members(case):
+    # a list would be stored as given: unhashable, and unequal to best(49)
+    a, b = best(49).argmin
+    argmin, match = {
+        "list": ([a, b], "argmin must be a tuple of ClassConfig, got a list"),
+        "generator": ((c for c in (a, b)), "argmin must be a tuple of ClassConfig, got a generator"),
+        "tuple-member": (((17, 3, RowPattern.SHORT_OFFSET, 0, 0, 1),),
+                         r"argmin member \(17, 3, .* is not a ClassConfig"),
+        "none-member": ((None,), "argmin member None is not a ClassConfig"),
+        "second": ((a, "b"), "argmin member 'b' is not a ClassConfig"),
+    }[case]
+    with pytest.raises(ValueError, match=match) as exc:
+        SearchResult(argmin)
+    assert "\n" not in str(exc.value)
+
+
+def test_post_init_runs_once_per_member_built(monkeypatch):
+    # the traced benchmark counts ClassConfig.__post_init__ calls as the
+    # members a scan builds (packings.configs_built)
+    calls = 0
+    post_init = ClassConfig.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        post_init(self)
+
+    monkeypatch.setattr(ClassConfig, "__post_init__", counted)
+    results = scan_range(1, 300)
+    assert calls == sum(len(r.argmin) for r in results) > 300
+
+
 def test_search_result_n_and_area_equal_the_sieves_1_to_5000():
     # each tie shape (w, h, pattern, s, holes, top) the sieve keeps for n has
     # the exact minimum area, width * H(h, s), whatever members it holds
