@@ -12,11 +12,12 @@ n arrives, so memory stays flat at both job counts (31 MB peak RSS over
 --jobs 1 and 38 MB in the largest process at --jobs 2).  `main` opens
 --out once, before the command runs, for appending, which changes nothing;
 `_emit` empties it only once the first chunk is made, and a failed command
-removes a file `main` created.  `main` reports every failure as one `error:`
-line with exit status 2.  Compactor commands require exactly one of --seed
-and --seeds.  Exit status is nonzero whenever a reproduction report falls
-short.  `import rowpack.cli` loads only the search; each command imports
-the other modules it runs (tables, theory, render, the compactor) when it runs.
+removes a file `main` created.  `main` reports every failure (a failed
+allocation too) as one `error:` line with exit status 2.  Compactor
+commands require exactly one of --seed and --seeds.  Exit status is nonzero
+whenever a reproduction report falls short.  `import rowpack.cli` loads
+only the search; each command imports the other modules it runs (tables,
+theory, render, the compactor) when it runs.
 """
 from __future__ import annotations
 
@@ -224,11 +225,11 @@ def main(argv: list[str] | None = None) -> int:
             args.out, created = _open_out(args.out)
         with args.out or nullcontext():
             return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         if created is not None:
             with suppress(FileNotFoundError):
                 os.remove(created)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,7 @@ count follows
 
     n = w*(h + s) - h_minus - s_minus - d
 
-where h_minus is determined by the pattern.  All lengths are in circle radii:
+where `row_kinds` states each pattern's h_minus.  All lengths are in circle radii:
 hex rows are sqrt(3) apart, square rows 2 apart, so widths are integers and
 heights are QuadInt values (2 + 2s) + (h-1)*sqrt(3).
 
@@ -41,27 +41,11 @@ TOL = 1e-9
 
 
 class RowPattern(Enum):
-    """Which hex rows are one circle short of w."""
+    """Which hex rows are one circle short of w (the rules: `row_kinds`)."""
 
-    FULL = "full"                  # no short rows, h_minus = 0
-    SHORT_OFFSET = "short_offset"  # offset rows short, h_minus = floor(h/2)
-    SHORT_OUTER = "short_outer"    # outer rows short, h odd, h_minus = floor(h/2)+1
-
-    def h_minus(self, h: int) -> int:
-        if self is _FULL:
-            return 0
-        if self is _SHORT_OFFSET:
-            return h // 2
-        return h // 2 + 1
-
-    def full_interior_rows(self, h: int, s: int) -> int:
-        """How many interior hex rows (1..h-2) hold w circles, for h >= 2."""
-        if self is _FULL:
-            return h - 2
-        # SHORT_OFFSET is mirrored (odd rows full) under square rows on even h.
-        if self is _SHORT_OUTER or (s > 0 and h % 2 == 0):
-            return (h - 1) // 2
-        return (h - 2) // 2
+    FULL = "full"                  # no short rows
+    SHORT_OFFSET = "short_offset"  # offset rows short
+    SHORT_OUTER = "short_outer"    # outer rows short
 
 
 # Module aliases: on Python 3.11 a lookup such as RowPattern.FULL goes through
@@ -70,6 +54,31 @@ _FULL = RowPattern.FULL
 _SHORT_OFFSET = RowPattern.SHORT_OFFSET
 _SHORT_OUTER = RowPattern.SHORT_OUTER
 _PATTERN_ORDER = {_FULL: 0, _SHORT_OFFSET: 1, _SHORT_OUTER: 2}
+
+
+@lru_cache(maxsize=4096)
+def row_kinds(h: int, square_rows: bool) -> tuple[tuple[RowPattern, bool, int, int], ...]:
+    """The class's row rules, stated once: (pattern, is FULL, h_minus, full
+    interior rows 1..h-2) for each pattern a block of h >= 2 hex rows may take,
+    with or without square rows on top.  SHORT_OUTER needs odd h, and square
+    rows on its short top row degenerate.  A mirrored SHORT_OFFSET block (even
+    h under square rows, see ClassConfig._hex_row) has as many full rows."""
+    kinds = [(_FULL, True, 0, h - 2), (_SHORT_OFFSET, False, h // 2, (h - 2) // 2)]
+    if h % 2 == 1 and h >= 3 and not square_rows:
+        kinds.append((_SHORT_OUTER, False, h // 2 + 1, (h - 1) // 2))
+    return tuple(kinds)
+
+
+def _rule_error(pattern, h: int, s: int) -> ValueError:
+    """The error of a member whose pattern, h and s fit no row rule."""
+    if not isinstance(pattern, RowPattern):
+        return ValueError(f"pattern must be a RowPattern, got {pattern!r}")
+    if h == 0:
+        return ValueError("h=0 requires FULL pattern, s >= 1, d = 0 and a full square row "
+                          "(s_minus < s) to set the width")
+    if h < 2:
+        return ValueError("h must be 0 or >= 2 (a single row is h=0, s=1)")
+    return ValueError(f"{pattern} is not a row pattern of h = {h}, s = {s} (see row_kinds)")
 
 
 def max_violation(pts: np.ndarray, width: float, height: float) -> float:
@@ -188,10 +197,10 @@ class ClassConfig:
     the one place a member is checked and its three fields derived.  On Python
     3.11 (shared 2-vCPU VM) a holed hex member takes about 1.5 us to build,
     against 2.3 us with the generated `__init__`; a lookup such as
-    RowPattern.FULL costs 0.10 us against 0.01 us for a module alias, and a
-    RowPattern.h_minus call 0.055 us against 0.035 us inline.  So
-    `__post_init__` tests the pattern by identity against module aliases and
-    computes h_minus inline.
+    RowPattern.FULL costs 0.10 us against 0.01 us for a module alias.  So
+    `__post_init__` finds the pattern by identity in the cached `row_kinds`
+    entries of its (h, s > 0), which give h_minus and the hole capacity, and
+    tests the pattern's type only once that lookup has failed.
     """
 
     w: int
@@ -220,37 +229,26 @@ class ClassConfig:
             raise ValueError(f"w, h, s, s_minus and d must be ints, got {w!r}, {h!r}, "
                              f"{s!r}, {s_minus!r} and {d!r}")
         pattern = self.pattern
-        if pattern is _FULL:
-            full = True
-        elif pattern is _SHORT_OFFSET or pattern is _SHORT_OUTER:
-            full = False
+        if h >= 2:
+            for kind in row_kinds(h, s > 0):
+                if kind[0] is pattern:
+                    break
+            else:
+                raise _rule_error(pattern, h, s)
+            _, full, h_minus, full_rows = kind
+        elif h == 0 and pattern is _FULL and s >= 1 and s_minus < s and d == 0:  # a square grid
+            full, h_minus = True, 0
         else:
-            raise ValueError(f"pattern must be a RowPattern, got {pattern!r}")
+            raise _rule_error(pattern, h, s)
         if w < 1 or s < 0 or d < 0 or not (0 <= s_minus <= s):
             raise ValueError(f"bad parameters {self}")
-        if h == 1 or h < 0:
-            raise ValueError("h must be 0 or >= 2 (a single row is h=0, s=1)")
-        if h == 0:
-            if not full or s < 1 or d != 0:
-                raise ValueError("h=0 requires FULL pattern, s >= 1, d = 0")
-            if s_minus >= s:
-                raise ValueError("at least one full square row must set the width")
-        if not full and w < 2:
+        if w < 2 and (not full or s_minus > 0):
             raise ValueError("short rows must be nonempty (w >= 2)")
-        if pattern is _SHORT_OUTER:
-            if h < 3 or h % 2 == 0:
-                raise ValueError("SHORT_OUTER needs odd h >= 3")
-            if s > 0:
-                raise ValueError("square rows on a short outer row degenerate; excluded")
-        if s_minus > 0 and w < 2:
-            raise ValueError("short square rows must be nonempty")
         if d > 0:
             if h < 3 or w < 3:
                 raise ValueError("a monovacancy is an interior hole (h >= 3, w >= 3)")
-            if d > self.hole_capacity():
+            if d > (h - 2) * (w - 3) + full_rows:  # hole_capacity, inlined
                 raise ValueError(f"{d} holes exceed interior capacity")
-        # RowPattern.h_minus, inlined
-        h_minus = 0 if full else h // 2 if pattern is _SHORT_OFFSET else h // 2 + 1
         n = w * (h + s) - h_minus - s_minus - d
         if n < 1:
             raise ValueError("empty configuration")
@@ -262,7 +260,7 @@ class ClassConfig:
 
     @property
     def h_minus(self) -> int:
-        return self.pattern.h_minus(self.h)
+        return self.w * (self.h + self.s) - self.s_minus - self.d - self.n
 
     def _hex_row(self, k: int) -> tuple[float, int]:
         """(x of the first center, circle count) of hex row k, 0-based bottom up."""
@@ -280,11 +278,13 @@ class ClassConfig:
         """Interior lattice sites: hex rows 1..h-2, row ends excluded.
 
         A full interior row offers w - 2 sites and a short one w - 3, so the
-        count is (h-2)*(w-3) plus the number of full interior rows.
+        count is (h-2)*(w-3) plus the full interior rows its `row_kinds` gives.
         """
         if self.h < 3 or self.w < 3:
             return 0
-        return (self.h - 2) * (self.w - 3) + self.pattern.full_interior_rows(self.h, self.s)
+        for pattern, _, _, full_rows in row_kinds(self.h, self.s > 0):
+            if pattern is self.pattern:
+                return (self.h - 2) * (self.w - 3) + full_rows
 
     # exact dimensions -------------------------------------------------------
 

@@ -120,11 +120,11 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 from . import improve
-from .packings import ClassConfig, RowPattern
+from .packings import ClassConfig, RowPattern, row_kinds
 from .quadint import QuadInt, sign as _sign
 
 
@@ -228,17 +228,6 @@ _SQRT3 = math.sqrt(3)
 _TWO_SQRT3 = 2 * _SQRT3
 
 
-@lru_cache(maxsize=4096)
-def _row_kinds(h: int, square_rows: bool) -> tuple[tuple[RowPattern, bool, int, int], ...]:
-    """(pattern, is FULL, h_minus, full interior rows) of each row pattern of
-    an h-row hex block, with or without square rows on top."""
-    patterns = [RowPattern.FULL, RowPattern.SHORT_OFFSET]
-    if h % 2 == 1 and h >= 3 and not square_rows:
-        patterns.append(RowPattern.SHORT_OUTER)
-    return tuple((p, p is RowPattern.FULL, p.h_minus(h), p.full_interior_rows(h, int(square_rows)))
-                 for p in patterns)
-
-
 def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
     """The tie shapes of every n in [n_lo, n_hi], as a list ties.
 
@@ -274,14 +263,14 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
                     break
                 hp, hq = 2 + 2 * s, h - 1  # cell height
                 first = r if r > n_lo else n_lo  # the class bound h + s <= n
-                for pattern, full, h_minus, full_rows in _row_kinds(h, s > 0):
+                for pattern, full, h_minus, full_rows in row_kinds(h, s > 0):
                     w = -(-(n_lo + h_minus) // r)
                     if w < 2 and not full:
                         w = 2
                     while True:
                         top = w * r - h_minus  # n with no short square row and no hole
-                        # holes need h >= 3, w >= 3 and a free interior site (the
-                        # closed form of ClassConfig.hole_capacity, inlined)
+                        # holes need h >= 3, w >= 3 and a free interior site
+                        # (ClassConfig.hole_capacity over the row_kinds entry, inlined)
                         holes = (h - 2) * (w - 3) + full_rows if h >= 3 and w >= 3 else 0
                         # n = top - s_minus - d over 0 <= s_minus <= s, d <= holes; width
                         # w - 1 holds every n <= top - r at a smaller area (dominance);
@@ -291,6 +280,7 @@ def _sieve(n_lo: int, n_hi: int) -> list[list[tuple]]:
                             lo = top - r + 1
                         if lo > n_hi:
                             break  # lo grows with w
+                        # ClassConfig.width_units, full read from row_kinds
                         width = 2 * w + 1 if full else 2 * w
                         p, q = width * hp, width * hq
                         af = p + q * _SQRT3

@@ -30,6 +30,14 @@ def _h_minus(pattern: str, h: int) -> int:
     return h // 2 + 1
 
 
+def _patterns(h: int, s: int) -> tuple[str, ...]:
+    """The row patterns of an h-row hex block (h >= 2) under s square rows:
+    outer rows are short only on odd h >= 3, and never under square rows."""
+    if h % 2 == 0 or h < 3 or s > 0:
+        return (FULL, SHORT_OFFSET)
+    return (FULL, SHORT_OFFSET, SHORT_OUTER)
+
+
 def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """a < b for a = (p, q) meaning p + q*sqrt(3), exact integer test."""
     p = a[0] - b[0]
@@ -96,9 +104,7 @@ def naive_best(n: int, d_max: int = 5):
     for h in range(2, max_rows + 1):
         for s in range(0, max_rows - h + 1):
             r = h + s
-            for pattern in (FULL, SHORT_OFFSET, SHORT_OUTER):
-                if pattern == SHORT_OUTER and (h % 2 == 0 or h < 3 or s > 0):
-                    continue
+            for pattern in _patterns(h, s):
                 hm = _h_minus(pattern, h)
                 for w in range(1, n + hm + s + d_max + 1):
                     if pattern != FULL and w < 2:
@@ -155,9 +161,7 @@ def enumerate_members(n: int, d_max: int | None = None):
     for h in range(2, max_rows + 1):
         for s in range(0, max_rows - h + 1):
             r = h + s
-            for pattern in (FULL, SHORT_OFFSET, SHORT_OUTER):
-                if pattern == SHORT_OUTER and (h % 2 == 0 or h < 3 or s > 0):
-                    continue
+            for pattern in _patterns(h, s):
                 hm = _h_minus(pattern, h)
                 for w in range(-(-(n + hm) // r), (n + hm + s + d_max) // r + 1):
                     if pattern != FULL and w < 2:
@@ -213,9 +217,7 @@ def members_within(n: int, area: tuple[int, int], d_max: int | None = None):
             h_lo = math.floor((2 * r + 2 - root3 - cap / (2 * w)) / (2 - root3)) - 1
             for h in range(max(2, h_lo), r + 1):
                 s = r - h
-                for pattern in (FULL, SHORT_OFFSET, SHORT_OUTER):
-                    if pattern == SHORT_OUTER and (h % 2 == 0 or h < 3 or s > 0):
-                        continue
+                for pattern in _patterns(h, s):
                     if pattern != FULL and w < 2:
                         continue
                     k = w * r - _h_minus(pattern, h) - n

@@ -95,21 +95,37 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1_000_000_000, 1_000_000_000))
 
 
+def _run_capped(argv):
+    """`python -m rowpack argv` under a 1 GB address-space cap."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rowpack", *argv],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("argv", [["aspect"], ["range", "--from", "1"]], ids=lambda a: a[0])
 def test_absurd_range_is_one_line_error_in_bounded_memory(argv):
     # a range of more than 2**63 blocks fails before any work, without
     # building anything the size of the range: run under a 1 GB cap, so a
     # regression fails with MemoryError instead of exhausting the machine
-    huge = str(10**309)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rowpack", *argv, "--to", huge, "--jobs", "1"],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          preexec_fn=_cap_address_space)
+    proc = _run_capped([*argv, "--to", str(10**309), "--jobs", "1"])
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["render", "--n", str(10**12)],
+                                  ["compact", "--n", str(10**12), "--seed", "0"]],
+                         ids=lambda a: a[0])
+def test_failed_allocation_is_one_line_error(argv):
+    # render's coordinates and compact's random start ask for terabytes at
+    # n = 10**12: under a 1 GB cap the MemoryError is one error line, exit 2.
+    # Never run these uncapped.
+    proc = _run_capped(argv)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_range_empty_errors(capsys):

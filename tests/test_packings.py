@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from rowpack import compactor
-from rowpack.packings import ClassConfig, PackingRealization, RowPattern, hybrid_pair
+from rowpack.packings import (ClassConfig, PackingRealization, RowPattern, hybrid_pair,
+                              row_kinds)
 from rowpack.quadint import QuadInt
 from rowpack.render import to_svg
 
@@ -17,10 +18,15 @@ FULL = RowPattern.FULL
 
 
 def test_h_minus_per_pattern():
-    assert FULL.h_minus(6) == 0
-    assert SOFF.h_minus(5) == 2
-    assert SOFF.h_minus(6) == 3
-    assert SOUT.h_minus(5) == 3
+    # through a member's circle-count identity, with and without holes and
+    # short square rows, and through the row_kinds entry it was built from
+    for pattern, h, h_minus in ((FULL, 6, 0), (SOFF, 5, 2), (SOFF, 6, 3), (SOUT, 5, 3)):
+        members = [ClassConfig(4, h, pattern), ClassConfig(6, h, pattern, d=2)]
+        if pattern is not SOUT:
+            members.append(ClassConfig(5, h, pattern, s=2, s_minus=1, d=1))
+        for c in members:
+            assert c.h_minus == h_minus, c
+            assert [k[2] for k in row_kinds(h, c.s > 0) if k[0] is pattern] == [h_minus], c
 
 
 def test_n_of():

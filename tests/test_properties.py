@@ -1,5 +1,6 @@
 """Property tests guarding the exact block sieve in rowpack.search against
-the unpruned enumerator of tests/naive_oracle.py, the sieve's float filter
+the unpruned enumerator of tests/naive_oracle.py, the class's row rules
+(packings.row_kinds) against the oracle's own copy, the sieve's float filter
 against quadint.sign, the overlap kernel in rowpack.packings, the
 neighbour-list relaxation in rowpack.compactor against its all-pairs loop,
 and the memoised SVG renderer against a per-circle one."""
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from naive_oracle import _area, enumerated_best
+from naive_oracle import _area, _h_minus, _interior_capacity, _patterns, enumerated_best
 from rowpack.cli import main
-from rowpack.packings import ClassConfig, PackingRealization, RowPattern, max_violation
+from rowpack.packings import (ClassConfig, PackingRealization, RowPattern, max_violation,
+                              row_kinds)
 from rowpack.quadint import QuadInt, sign
 from rowpack import compactor, search
 from rowpack.render import to_svg
@@ -52,6 +54,43 @@ def test_hole_capacity_closed_form_matches_row_count():
                     assert cfg.hole_capacity() == rowwise_capacity(w, h, s, pattern), cfg
                     checked += 1
     assert checked == 38 * 38 * 4 * 2 + 38 * 19
+
+
+def test_row_kinds_match_the_oracle():
+    # the class's one statement of its row rules against the oracle's own
+    # copy: the patterns of each block, their h_minus and interior sites
+    for h in range(2, 61):
+        for s in (0, 1):
+            kinds = row_kinds(h, s > 0)
+            assert tuple(k[0].value for k in kinds) == _patterns(h, s), (h, s)
+            for pattern, full, h_minus, full_rows in kinds:
+                assert full is (pattern is FULL)
+                assert h_minus == _h_minus(pattern.value, h), (h, s, pattern)
+                for w in range(3, 9):
+                    assert (h - 2) * (w - 3) + full_rows == _interior_capacity(
+                        w, h, pattern.value), (w, h, s, pattern)
+
+
+def _accepts(h, s, pattern):
+    """Whether ClassConfig accepts some member with this h, s and pattern."""
+    for w in range(1, 6):
+        try:
+            ClassConfig(w, h, pattern, s=s)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+def test_class_config_accepts_exactly_the_row_kinds():
+    # plus the square grids (0, s >= 1, FULL), which have no hex block
+    for h in range(13):
+        for s in range(4):
+            listed = {k[0] for k in row_kinds(h, s > 0)} if h >= 2 else set()
+            if h == 0 and s >= 1:
+                listed.add(FULL)
+            for pattern in RowPattern:
+                assert _accepts(h, s, pattern) == (pattern in listed), (h, s, pattern)
 
 
 @settings(max_examples=60, deadline=None)
