@@ -227,16 +227,18 @@ def _sweep(
     return worst, moved, None
 
 
-def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> bool:
-    """Project pts into a feasible state for the box; True on success.
+def _relax_core(xs: list[float], ys: list[float], width: float, height: float,
+                iters: int) -> bool:
+    """Project the centres (xs[i], ys[i]) in place into a feasible state for
+    the box; True on success.
 
     Clamps into the wall-offset box, then separates overlapping pairs
     symmetrically along their center line, in fixed (i, j) index order
     (Gauss-Seidel, over-relaxed by _OMEGA), repeating until the worst
-    violation is below 1e-9 or the budget is spent.  True is returned only when
-    packings.max_violation(pts, width, height) <= TOL on the final pts, so
-    it certifies that the state left in pts is valid for the box; callers
-    need not check again.
+    violation is below 1e-9 (then clips into the box) or the budget is
+    spent.  True is returned only when packings.max_violation <= TOL on
+    the final centres, the one array built, so it certifies that the state
+    left in xs and ys is valid for the box; callers need not check again.
 
     Once a sweep moves the centres by less than _SKIN/2 in total, the
     following sweeps visit only the pairs of a neighbour list: those closer
@@ -249,8 +251,8 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     moved to _SKIN/2, the sweep covers all pairs; when a push does so
     mid-sweep, the rest of that sweep covers every remaining pair in order.
     Either way the list is dropped until a sweep is calm again.  Visited
-    pairs see the same float operations in the same order, so pts, the flag
-    and the sweep count equal those of the all-pairs loop bit for bit.
+    pairs see the same float operations in the same order, so the centres,
+    the flag and the sweep count equal the all-pairs loop's bit for bit.
 
     The half-skin margin is wide.  Counting only `gap` per push, an
     undercount by the factor _OMEGA = 1.5, would let the centres travel up
@@ -264,8 +266,8 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     floats depend only on the state: the neighbour list changes which pairs
     are visited, never a value, as shown above.  So every later iteration
     would repeat it: none could improve best_worst or return True inside the
-    loop (this one did neither), and the loop would end with the same state
-    in pts.  Stopping leaves pts and the returned certificate bit-identical.
+    loop (this one did neither), and the loop would end with the same state.
+    Stopping leaves the centres and the returned certificate bit-identical.
     (Only a sign of zero can differ between == states, and the next clamp
     maps both zeros to the same wall.)  The state is saved only while
     since_improve is non-zero.  From the second iteration at a fixed point
@@ -275,11 +277,8 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
     """
     if width < 2.0 - TOL or height < 2.0 - TOL:
         return False
-    n = len(pts)
-    xlo, xhi = 1.0, width - 1.0
-    ylo, yhi = 1.0, height - 1.0
-    xs = pts[:, 0].tolist()
-    ys = pts[:, 1].tolist()
+    n = len(xs)
+    xlo, xhi, ylo, yhi = 1.0, width - 1.0, 1.0, height - 1.0
     rng_n = range(n)
     all_rows = [(i, range(i + 1, n)) for i in rng_n]
     half = 0.5 * _SKIN
@@ -316,15 +315,11 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
             listed, moved = None, 0.0
         elif listed is None:  # a calm sweep: list the pairs that can meet soon
             listed, moved = _neighbours(xs, ys), 0.0
-        if worst <= TOL:
-            pts[:, 0] = xs
-            pts[:, 1] = ys
-            np.clip(pts[:, 0], xlo, xhi, out=pts[:, 0])
-            np.clip(pts[:, 1], ylo, yhi, out=pts[:, 1])
-            if max_violation(pts, width, height) <= TOL:
+        if worst <= TOL:  # clip as np.clip does: NaN stays, xhi wins if xlo > xhi
+            xs[:] = [min(max(x, xlo), xhi) for x in xs]
+            ys[:] = [min(max(y, ylo), yhi) for y in ys]
+            if max_violation(np.array([xs, ys]).T, width, height) <= TOL:
                 return True
-            xs = pts[:, 0].tolist()
-            ys = pts[:, 1].tolist()
             listed, moved = None, 0.0  # the clip moved centres
         # stalled separation means an infeasible proposal: fail early
         if worst < 0.97 * best_worst:
@@ -334,15 +329,14 @@ def _relax_core(pts: np.ndarray, width: float, height: float, iters: int) -> boo
             since_improve += 1
             if since_improve > 60 or xs + ys == start:
                 break
-    pts[:, 0] = xs
-    pts[:, 1] = ys
-    return max_violation(pts, width, height) <= TOL
+    return max_violation(np.array([xs, ys]).T, width, height) <= TOL
 
 
 def compact(params: CompactorParams) -> CompactorRun:
-    """One deterministic compactor run."""
+    """One deterministic compactor run.  It holds the centres as two float
+    lists; a proposal relaxes copies of both."""
     start = random_start(params.n, params.seed, params.slack)
-    pts = np.array(start.centers, dtype=float).reshape(-1, 2)
+    xs, ys = map(list, zip(*start.centers))
     width, height = start.width, start.height
     n = params.n
 
@@ -362,9 +356,9 @@ def compact(params: CompactorParams) -> CompactorRun:
         factor = 1.0 - step[side]
         new_w = width * factor if side == 0 else width
         new_h = height * factor if side == 1 else height
-        trial = pts.copy()
-        if min(new_w, new_h) >= 2.0 and _relax_core(trial, new_w, new_h, params.relax_iters):
-            pts = trial
+        tx, ty = xs.copy(), ys.copy()
+        if min(new_w, new_h) >= 2.0 and _relax_core(tx, ty, new_w, new_h, params.relax_iters):
+            xs, ys = tx, ty
             width, height = new_w, new_h
             trace.append((move, width, height, density()))
         else:
@@ -375,9 +369,7 @@ def compact(params: CompactorParams) -> CompactorRun:
         if step[0] < params.step_floor and step[1] < params.step_floor
         else Termination.MAX_MOVES
     )
-    final = PackingRealization(
-        centers=tuple(map(tuple, pts.tolist())), width=width, height=height
-    )
+    final = PackingRealization(centers=tuple(zip(xs, ys)), width=width, height=height)
     return CompactorRun(realization=final, terminated=terminated, trace=tuple(trace))
 
 

@@ -2,7 +2,6 @@ import hashlib
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from rowpack.compactor import (
@@ -82,23 +81,21 @@ def test_random_start_keeps_the_stream():
 
 
 def test_relax_fixed_point():
-    centers = [[1.0, 1.0], [4.0, 1.0]]
-    pts = np.array(centers)
-    assert _relax_core(pts, 8.0, 2.0, 50)
-    assert pts.tolist() == centers
+    xs, ys = [1.0, 4.0], [1.0, 1.0]
+    assert _relax_core(xs, ys, 8.0, 2.0, 50)
+    assert (xs, ys) == ([1.0, 4.0], [1.0, 1.0])
 
 
 def test_relax_separates_close_pair():
-    pts = np.array([[5.0, 5.0], [6.9, 5.0]])
-    assert _relax_core(pts, 40.0, 10.0, 200)
-    (x1, y1), (x2, y2) = pts.tolist()
-    assert math.hypot(x1 - x2, y1 - y2) >= 2 - 1e-9
+    xs, ys = [5.0, 6.9], [5.0, 5.0]
+    assert _relax_core(xs, ys, 40.0, 10.0, 200)
+    assert math.hypot(xs[0] - xs[1], ys[0] - ys[1]) >= 2 - 1e-9
 
 
 def test_relax_flags_infeasible_box():
     # area below n*pi can never fit
-    pts = np.array([(1.0 + 0.1 * i, 1.0 + 0.1 * i) for i in range(8)])
-    assert not _relax_core(pts, 4.0, 4.0, 300)
+    xs = [1.0 + 0.1 * i for i in range(8)]
+    assert not _relax_core(xs, xs.copy(), 4.0, 4.0, 300)
 
 
 def test_compact_n1_reaches_square():

@@ -312,5 +312,6 @@ def test_non_finite_packing_fails_the_compactor_check(real):
     pts = np.array(real.centers, dtype=float).reshape(-1, 2)
     assert not compactor.max_violation(pts, real.width, real.height) <= compactor.TOL
     # the clamp pulls an infinite centre into a finite box; NaN stays NaN
-    ok = compactor._relax_core(pts, real.width, real.height, 100)
-    assert ok == (math.isfinite(real.width * real.height) and bool(np.isfinite(pts).all()))
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    ok = compactor._relax_core(xs, ys, real.width, real.height, 100)
+    assert ok == (math.isfinite(real.width * real.height) and all(map(math.isfinite, xs + ys)))
