@@ -27,19 +27,6 @@ from .improve import DELTA_H5, DELTA_SIDE, ImprovementReport, MoveKind, improvem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QuadInt",
-    "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
-    "Classification", "SearchResult", "best", "milestones",
-    "read_results", "scan_range", "write_results",
-    "DELTA_H5", "DELTA_SIDE", "ImprovementReport", "MoveKind", "improvement",
-    "ConvergentEntry", "WasteConstants", "convergents", "reference_densities",
-    "smallest_two_row_m", "two_row_beats_square", "verify_convergent_regularity",
-    "waste_constants",
-    "CompactorParams", "CompactorRun", "best_of", "compact", "random_start",
-    "aspect_line", "aspect_scatter_csv", "to_svg",
-]
-
 # lazy name -> the submodule that defines it; each submodule is its own name
 _LAZY = {
     **dict.fromkeys(["compactor", "CompactorParams", "CompactorRun", "best_of", "compact",
@@ -49,6 +36,15 @@ _LAZY = {
                      "verify_convergent_regularity", "waste_constants"], "theory"),
     **dict.fromkeys(["render", "aspect_line", "aspect_scatter_csv", "to_svg"], "render"),
 }
+
+__all__ = [
+    "QuadInt",
+    "ClassConfig", "PackingRealization", "RowPattern", "hybrid_pair",
+    "Classification", "SearchResult", "best", "milestones",
+    "read_results", "scan_range", "write_results",
+    "DELTA_H5", "DELTA_SIDE", "ImprovementReport", "MoveKind", "improvement",
+    *(name for name, module in _LAZY.items() if name != module),  # the lazy exports
+]
 
 
 def __getattr__(name: str):

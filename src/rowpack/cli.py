@@ -106,11 +106,15 @@ def cmd_aspect(args: argparse.Namespace) -> int:
 def cmd_theory(args: argparse.Namespace) -> int:
     from . import theory
 
+    try:
+        entries = theory.convergents(args.kmax)
+    except ValueError as exc:
+        raise ValueError(f"--kmax {args.kmax}: {exc}") from None
     payload = {
         "waste": theory.waste_constants().to_json(),
         "densities": theory.reference_densities(),
         "smallest_two_row_m": theory.smallest_two_row_m(),
-        "convergents": [c.to_json() for c in theory.convergents(args.kmax)],
+        "convergents": [c.to_json() for c in entries],
     }
     _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0

@@ -15,10 +15,11 @@ positive delta.  They cover these families only:
 `improvement(cfg)` applies the move that fits a holed member.  Every other
 holed shape (even h, h = 3 with short outer rows, or odd h >= 7 with short
 rows) gets None, and nothing here shows that it can be beaten: 506 of the
-511 `may_hole` n <= 5000 have no argmin member in either family.
-Improved metrics are real-valued (the shrunken widths involve nested
-radicals, outside the exact ring); relocated packings may contain rattlers,
-circles left free to move inside the jammed arrangement.
+511 `may_hole` n <= 5000 have no argmin member in either family.  A report
+is the move and the member it was applied to: its delta, width, area,
+density and remaining holes are derived from the two, so it cannot disagree
+with its member.  The improved metrics are real-valued (the shrunken widths
+involve nested radicals, outside the exact ring).
 """
 from __future__ import annotations
 
@@ -40,46 +41,51 @@ class MoveKind(Enum):
     H5_SHORT_OUTER_RELOCATION = "h5_short_outer_relocation"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ImprovementReport:
-    """A move's result; built as ClassConfig is, each slot stored once through
-    its member-descriptor setter."""
-
-    move: MoveKind
-    delta: float
-    new_width: float
-    new_area: float
-    new_density: float
-    rattler_note: bool
-    remaining_holes: int = 0
-
-    def __init__(self, move: MoveKind, delta: float, new_width: float, new_area: float,
-                 new_density: float, rattler_note: bool, remaining_holes: int = 0) -> None:
-        _set_move(self, move)
-        _set_delta(self, delta)
-        _set_new_width(self, new_width)
-        _set_new_area(self, new_area)
-        _set_new_density(self, new_density)
-        _set_rattler_note(self, rattler_note)
-        _set_remaining_holes(self, remaining_holes)
-
-
-# Each slot's member-descriptor setter, bound once (see packings.ClassConfig)
-(_set_move, _set_delta, _set_new_width, _set_new_area, _set_new_density,
- _set_rattler_note, _set_remaining_holes) = (
-    ImprovementReport.__dict__[name].__set__ for name in ImprovementReport.__slots__)
-
 # module aliases: a lookup such as RowPattern.FULL goes through the enum metaclass
 _FULL = RowPattern.FULL
 _SHORT_OFFSET = RowPattern.SHORT_OFFSET
 _SIDE = MoveKind.ODD_H_SIDE_RELOCATION
 _H5 = MoveKind.H5_SHORT_OUTER_RELOCATION
+_DELTA = {_SIDE: DELTA_SIDE, _H5: DELTA_H5}
 _SQRT3 = math.sqrt(3.0)
 
 
+@dataclass(frozen=True, slots=True)
+class ImprovementReport:
+    """`move` applied once to `member`, using one of its holes."""
+
+    move: MoveKind
+    member: ClassConfig
+
+    # Every relocation may leave rattlers, circles free to move inside the
+    # jammed arrangement, so the note is a constant of the type.
+    rattler_note = True
+
+    @property
+    def delta(self) -> float:
+        return _DELTA[self.move]
+
+    @property
+    def new_width(self) -> float:
+        return self.member.width_units - _DELTA[self.move]
+
+    @property
+    def new_area(self) -> float:
+        p, q = self.member.height_pair
+        return self.new_width * (p + q * _SQRT3)  # QuadInt.to_float's steps, with no QuadInt
+
+    @property
+    def new_density(self) -> float:
+        return self.member.n * math.pi / self.new_area
+
+    @property
+    def remaining_holes(self) -> int:
+        return self.member.d - 1
+
+
 def improvement(cfg: ClassConfig) -> ImprovementReport | None:
-    """Width, area and density after applying the move once (one hole used),
-    or None where no published move applies.
+    """`ImprovementReport(move, cfg)` for the published move that fits `cfg`,
+    applied once (one hole used), or None where no published move applies.
 
     Requires d >= 1.  Even h has no published construction; the five-row
     case goes through the short-outer variant (the short-offset form with a
@@ -88,16 +94,8 @@ def improvement(cfg: ClassConfig) -> ImprovementReport | None:
     if cfg.d < 1:
         raise ValueError("improvement moves consume a monovacancy (d >= 1)")
     h, pattern = cfg.h, cfg.pattern
-    if h % 2 == 0:
-        return None
-    if pattern is _FULL or (h == 3 and pattern is _SHORT_OFFSET):
-        move, delta = _SIDE, DELTA_SIDE
-    elif h == 5:
-        move, delta = _H5, DELTA_H5
-    else:
-        return None
-    new_width = cfg.width_units - delta
-    p, q = cfg.height_pair
-    new_area = new_width * (p + q * _SQRT3)  # QuadInt.to_float's steps, with no QuadInt
-    return ImprovementReport(move, delta, new_width, new_area, cfg.n * math.pi / new_area,
-                             rattler_note=True, remaining_holes=cfg.d - 1)
+    if h % 2 and (pattern is _FULL or (h == 3 and pattern is _SHORT_OFFSET)):
+        return ImprovementReport(_SIDE, cfg)
+    if h == 5:
+        return ImprovementReport(_H5, cfg)
+    return None

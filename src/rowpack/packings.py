@@ -189,18 +189,19 @@ class ClassConfig:
     Equality, hashing and repr use the six parameters only.
 
     A census builds one per argmin member, twice (search, then read-back), so
-    construction is kept lean.  Like QuadInt, SearchResult and
-    ImprovementReport, this frozen dataclass is built by a hand-written
-    `__init__` (`init=False`) that stores each slot once through its
-    member-descriptor setter, bound at module level, where the generated one
-    calls object.__setattr__ per field; `__init__` then calls `__post_init__`,
-    the one place a member is checked and its three fields derived.  On Python
-    3.11 (shared 2-vCPU VM) a holed hex member takes about 1.5 us to build,
-    against 2.3 us with the generated `__init__`; a lookup such as
-    RowPattern.FULL costs 0.10 us against 0.01 us for a module alias.  So
-    `__post_init__` finds the pattern by identity in the cached `row_kinds`
-    entries of its (h, s > 0), which give h_minus and the hole capacity, and
-    tests the pattern's type only once that lookup has failed.
+    construction is kept lean.  Like QuadInt and SearchResult, which a census
+    also builds 10,000+ times each, this frozen dataclass is built by a
+    hand-written `__init__` (`init=False`) that stores each slot once through
+    its member-descriptor setter, bound at module level, where the generated
+    one calls object.__setattr__ per field; an ImprovementReport, built a few
+    hundred times a census, keeps the generated one.  `__init__` then calls
+    `__post_init__`, the one place a member is checked and its three fields
+    derived.  On Python 3.11 (shared 2-vCPU VM) a holed hex member takes
+    about 1.5 us to build, against 2.3 us with the generated `__init__`; a
+    lookup such as RowPattern.FULL costs 0.10 us against 0.01 us for a module
+    alias.  So `__post_init__` finds the pattern by identity in the cached
+    `row_kinds` entries of its (h, s > 0), which give h_minus and the hole
+    capacity, and tests the pattern's type only once that lookup has failed.
     """
 
     w: int

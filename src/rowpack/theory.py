@@ -15,6 +15,7 @@ at N(k) = a_k * b_k the class optimum is the plain a_k x b_k hex block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -95,17 +96,28 @@ class ConvergentEntry:
 
 
 def convergents(k_max: int) -> list[ConvergentEntry]:
-    """Entries (k, v_k, a_k, b_k, N_k) for k = 1..k_max."""
+    """Entries (k, v_k, a_k, b_k, N_k) for k = 1..k_max.
+
+    N_k has about 1.14 k digits.  The first N_k that this interpreter cannot
+    print (more than sys.get_int_max_str_digits() digits, 4300 by default,
+    from k = 3760) is a ValueError naming the largest k that prints, so a
+    k_max past it fails as fast as that one; a limit of 0 lifts the check.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    v = [0, 1]
-    while len(v) <= k_max + 1:
-        v.append(4 * v[-1] - v[-2])
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
+    too_long = 10 ** digits if digits else math.inf
     out = []
+    v_k, v_next = 1, 4  # v_1 and v_2
     for k in range(1, k_max + 1):
-        a_k = 2 * v[k + 1] - v[k]
-        b_k = 2 * v[k]
-        out.append(ConvergentEntry(k=k, v_k=v[k], a_k=a_k, b_k=b_k, N_k=a_k * b_k))
+        a_k, b_k = 2 * v_next - v_k, 2 * v_k
+        n_k = a_k * b_k
+        if n_k >= too_long:
+            raise ValueError(f"N_{k} has more than {digits} digits, which this interpreter "
+                             f"does not print (sys.set_int_max_str_digits); "
+                             f"the largest k that prints is {k - 1}")
+        out.append(ConvergentEntry(k=k, v_k=v_k, a_k=a_k, b_k=b_k, N_k=n_k))
+        v_k, v_next = v_next, 4 * v_next - v_k
     return out
 
 

@@ -180,6 +180,35 @@ def test_theory(capsys):
     assert blob["densities"]["hex"] == pytest.approx(0.90689968)
 
 
+def test_theory_kmax_past_the_int_print_limit_fails_fast(capsys):
+    # N_559 has 640 digits and N_560 641: under a 640-digit limit on int-to-str,
+    # any larger --kmax stops at k = 560 with one error line, rather than
+    # building every entry first; a limit of 0 prints them all, as before
+    def timeout(signum, frame):
+        raise AssertionError("theory --kmax ran on past the first unprintable N_k")
+
+    limit = sys.get_int_max_str_digits()
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)  # the commands take milliseconds
+    try:
+        sys.set_int_max_str_digits(640)
+        printed = run_cli(capsys, "theory", "--kmax", "559")
+        failed = [run_cli(capsys, "theory", "--kmax", k) for k in ("560", "100000")]
+        sys.set_int_max_str_digits(0)
+        unlimited = run_cli(capsys, "theory", "--kmax", "560")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        sys.set_int_max_str_digits(limit)
+    assert printed[0] == 0 and len(str(json.loads(printed[1])["convergents"][-1]["N"])) == 640
+    for (code, out, err), k in zip(failed, ("560", "100000")):
+        assert (code, out) == (2, "")
+        assert err == (f"error: --kmax {k}: N_560 has more than 640 digits, which this "
+                       "interpreter does not print (sys.set_int_max_str_digits); "
+                       "the largest k that prints is 559\n")
+    assert unlimited[0] == 0 and len(json.loads(unlimited[1])["convergents"]) == 560
+
+
 def test_dmax_only_on_commands_that_search(capsys):
     # no command takes a hole cap: every search is exact over all hole counts
     for argv in (

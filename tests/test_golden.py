@@ -1,6 +1,7 @@
 """The golden outputs CI pins for the installed console script, checked here
-in-process through `cli.main`: each command's stdout (and for `compact` its
---out trace too) hashes to the same sha256."""
+in-process through `cli.main`: each command's stdout (for `compact` with its
+--out trace, and for the 1..100000 range its --out file instead) hashes to the
+same sha256."""
 import hashlib
 
 import pytest
@@ -36,6 +37,15 @@ def test_range_command_output_is_pinned(capsys, command, jobs):
 @pytest.mark.parametrize("command", list(DIGESTS))
 def test_command_output_is_pinned(capsys, command):
     assert _stdout_digest(capsys, command.split()) == DIGESTS[command]
+
+
+def test_range_to_100000_is_pinned(capsys, tmp_path):
+    # 31.6 MB of lines, 10,474 with an improvement: written to --out, not captured
+    out = tmp_path / "r.jsonl"
+    assert main(["range", "--from", "1", "--to", "100000", "--jobs", "2", "--out", str(out)]) == 0
+    capsys.readouterr()  # the summary line
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bbc930e21140ae2ff1c4829e65c6a5648eac030829e587b7447bdcf96ef23d98")
 
 
 def test_compact_report_and_trace_are_pinned(capsys, tmp_path):

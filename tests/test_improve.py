@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rowpack import search
 from rowpack.improve import DELTA_H5, DELTA_SIDE, MoveKind, improvement
 from rowpack.packings import ClassConfig, RowPattern
 
@@ -95,3 +96,30 @@ def test_improvement_beats_every_hole_free_config_to_213(improvement_sweep):
     assert improvement_sweep
     for n, improved, best_hole_free in improvement_sweep:
         assert improved > best_hole_free, f"n={n}"
+
+
+def test_reports_to_5000_are_views_of_their_members():
+    """Each results line's report is the move on the first holed argmin member
+    in a published family, and every number it writes is that member's."""
+    def has_move(c):  # the families of the module docstring, stated apart
+        return c.h % 2 == 1 and (c.pattern is FULL or c.h == 5 or (c.h == 3 and c.pattern is SOFF))
+
+    moves, holes, h5 = {}, set(), []
+    for result in search.scan_range(1, 5000):
+        if result.classification is search.Classification.REGULAR:
+            continue
+        report = search._improvement(result)
+        if report is None:
+            assert not any(has_move(c) for c in result.argmin if c.d)
+            continue
+        assert report.member == next(c for c in result.argmin if c.d and has_move(c))
+        assert report == improvement(report.member)
+        assert report.remaining_holes == report.member.d - 1
+        assert report.new_width == report.member.width_units - report.delta
+        moves[report.move] = moves.get(report.move, 0) + 1
+        holes.add(report.remaining_holes)
+        if report.move is MoveKind.H5_SHORT_OUTER_RELOCATION:
+            h5.append(result.n)
+    assert moves == {MoveKind.ODD_H_SIDE_RELOCATION: 283, MoveKind.H5_SHORT_OUTER_RELOCATION: 3}
+    assert h5 == [97, 107, 142]
+    assert holes == {0, 1, 2, 3, 4}
